@@ -25,7 +25,7 @@
 // explicit while-loops instead of predicate lambdas because the analysis
 // does not propagate capabilities into lambda bodies.
 //
-// Lock-rank hierarchy (docs/STATIC_ANALYSIS.md, layer 4): every long-lived
+// Lock-rank hierarchy (docs/STATIC_ANALYSIS.md, layer 3): every long-lived
 // Mutex in the tree declares a rank with REDIST_LOCK_RANK(n); a thread may
 // only acquire a lock whose rank is strictly greater than every rank it
 // already holds, which makes the whole-process lock graph a DAG and
@@ -139,7 +139,7 @@ inline HeldStack& held() {
 [[noreturn]] inline void die_on_inversion(int acquiring, int held_rank) {
   std::fprintf(stderr,
                "redist: lock-rank inversion: acquiring rank %d while "
-               "holding rank %d (docs/STATIC_ANALYSIS.md, layer 4)\n",
+               "holding rank %d (docs/STATIC_ANALYSIS.md, layer 3)\n",
                acquiring, held_rank);
   // SIGABRT is in the install_signal_dump set (obs/journal.hpp), so a
   // process with the flight recorder armed dumps the journal here.
@@ -239,7 +239,7 @@ class REDIST_CAPABILITY("mutex") Mutex {
  private:
   // The one std::mutex the mutex-guard lint rule permits: this is the
   // annotated wrapper itself.
-  std::mutex mu_;  // redist-lint: allow(mutex-guard) annotation wrapper
+  std::mutex mu_;  // redist-analyze: allow(mutex-guard) annotation wrapper
 #if REDIST_LOCK_RANK_CHECKS
   const int rank_ = 0;  // 0 = unranked: tracked but never order-checked
 #endif
@@ -296,7 +296,7 @@ class CondVar {
  private:
   // Permitted raw member: the wrapper that makes condvars annotation-aware.
   std::condition_variable_any
-      cv_;  // redist-lint: allow(mutex-guard) annotation wrapper
+      cv_;  // redist-analyze: allow(mutex-guard) annotation wrapper
 };
 
 }  // namespace redist

@@ -13,7 +13,7 @@
 // The analysis only understands annotated mutex types, so lock-protected
 // code uses the redist::Mutex / MutexLock / CondVar wrappers from
 // common/sync.hpp rather than std::mutex directly — a rule enforced by
-// tools/redist_lint (mutex-guard). Conventions are documented in
+// tools/redist_analyze (mutex-guard). Conventions are documented in
 // docs/STATIC_ANALYSIS.md.
 //
 // Caveat worth knowing when reading annotated code: the analysis assumes

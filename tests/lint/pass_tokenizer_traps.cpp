@@ -34,7 +34,7 @@ const char* kTrapStrings[] = {
     "obs::metrics()->counter",
     "ratio == 0.5 seconds != 1.0",
     "std::mutex m; std::condition_variable cv;",
-    "// redist-lint: allow(none) a directive inside a string is inert",
+    "// redist-analyze: allow(none) a directive inside a string is inert",
 };
 
 const char* kTrapRaw = R"delim(

@@ -1,8 +1,8 @@
 // Lint fixture (never compiled): allow() directives neutralize findings
 // on the same line and on the line directly below the comment.
-// redist-lint: allow(wallclock) deliberate wall-clock read in fixture
+// redist-analyze: allow(wallclock) deliberate wall-clock read in fixture
 long stamp() { return time(nullptr); }
 
 long stamp_again() {
-  return time(nullptr);  // redist-lint: allow(wallclock) same-line allow
+  return time(nullptr);  // redist-analyze: allow(wallclock) same-line allow
 }

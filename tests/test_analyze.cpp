@@ -1,8 +1,12 @@
-// Tests for tools/analyze: every rule is pinned by a must-fire and a
-// near-miss fixture under tests/analyze/<case>/ (each case is a miniature
-// repo root that load_closure walks), plus in-memory cases for drift,
-// rule filtering, and the golden report format.
+// Tests for tools/analyze: every whole-program rule is pinned by a
+// must-fire and a near-miss fixture under tests/analyze/<case>/ (each case
+// is a miniature repo root that load_closure walks), every per-file rule by
+// a must-fire and a near-miss fixture under tests/lint/, plus in-memory
+// cases for scoping, suppressions, the lexer, drift, rule filtering, and
+// the golden report format.
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,13 +21,31 @@ using redist::analyze::Finding;
 using redist::analyze::Options;
 using redist::analyze::SourceFile;
 
+const std::vector<std::string> kPerFileRules = {
+    "no-nondeterminism", "float-eq", "telemetry-guard", "mutex-guard",
+    "wallclock"};
+
+// The tests/analyze/ fixtures pin the whole-program rules; the per-file
+// rules have their own fixtures under tests/lint/ (det.cpp's rand() would
+// trip no-nondeterminism as well).
+Options whole_program_rules() {
+  Options options;
+  for (const auto& id : redist::analyze::rule_ids()) {
+    if (std::find(kPerFileRules.begin(), kPerFileRules.end(), id) ==
+        kPerFileRules.end()) {
+      options.rules.push_back(id);
+    }
+  }
+  return options;
+}
+
 std::string fixture_root(const std::string& name) {
   return std::string(REDIST_ANALYZE_FIXTURE_DIR) + "/" + name;
 }
 
-AnalysisResult analyze_fixture(const std::string& name,
-                               const std::vector<std::string>& tus,
-                               const Options& options = {}) {
+AnalysisResult analyze_fixture(
+    const std::string& name, const std::vector<std::string>& tus,
+    const Options& options = whole_program_rules()) {
   const auto sources =
       redist::analyze::load_closure(fixture_root(name), tus);
   EXPECT_FALSE(sources.empty()) << "fixture " << name << " loaded nothing";
@@ -344,7 +366,7 @@ TEST(Analyze, RuleListingCoversEveryRule) {
   for (const auto& id : redist::analyze::rule_ids()) {
     EXPECT_FALSE(redist::analyze::rule_description(id).empty()) << id;
   }
-  EXPECT_EQ(redist::analyze::rule_ids().size(), 11u);
+  EXPECT_EQ(redist::analyze::rule_ids().size(), 16u);
 }
 
 TEST(Analyze, TusFromCompileCommandsStripsRootAndForeignEntries) {
@@ -380,6 +402,312 @@ TEST(Analyze, GoldenReportFormat) {
       "solve_kpbs(graph, k, beta, ...) was removed in favor of "
       "solve_kpbs(graph, SolverOptions{...}); the old overload must not "
       "be reintroduced\n");
+}
+
+// ---------------------------------------------------------------------------
+// Per-file rules: fixtures under tests/lint/ and in-memory sources
+// ---------------------------------------------------------------------------
+
+std::string rule_file_stem(const std::string& rule) {
+  std::string stem = rule;
+  std::replace(stem.begin(), stem.end(), '-', '_');
+  return stem;
+}
+
+Options only(const std::vector<std::string>& rules) {
+  Options options;
+  options.rules = rules;
+  return options;
+}
+
+std::vector<Finding> analyze_source(const std::string& path,
+                                    const std::string& content,
+                                    const Options& options) {
+  return redist::analyze::run_analysis({{path, content}}, options).findings;
+}
+
+// A tests/lint/ fixture, analyzed at a path inside every rule's scope
+// (src/net/ is also where lock-transition applies).
+std::vector<Finding> lint_fixture(const std::string& name,
+                                  const Options& options) {
+  std::ifstream in(std::string(REDIST_LINT_FIXTURE_DIR) + "/" + name);
+  EXPECT_TRUE(in) << "missing fixture " << name;
+  std::stringstream content;
+  content << in.rdbuf();
+  return analyze_source("src/net/" + name, content.str(), options);
+}
+
+class LintFixtures : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LintFixtures, MustFireFixtureFires) {
+  const std::string rule = GetParam();
+  const auto findings =
+      lint_fixture("fail_" + rule_file_stem(rule) + ".cpp", only({rule}));
+  ASSERT_FALSE(findings.empty()) << "fixture for " << rule << " is silent";
+  for (const Finding& f : findings) EXPECT_EQ(f.rule, rule);
+}
+
+TEST_P(LintFixtures, NearMissFixtureStaysClean) {
+  const std::string rule = GetParam();
+  const auto findings =
+      lint_fixture("pass_" + rule_file_stem(rule) + ".cpp", only({rule}));
+  for (const Finding& f : findings) {
+    ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
+                  << f.message;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRules, LintFixtures,
+                         ::testing::ValuesIn(kPerFileRules),
+                         [](const auto& info) {
+                           return rule_file_stem(info.param);
+                         });
+
+TEST(LintRules, RegistryIsComplete) {
+  EXPECT_EQ(kPerFileRules.size(), 5u);
+  const auto& ids = redist::analyze::rule_ids();
+  for (const std::string& id : kPerFileRules) {
+    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+    EXPECT_FALSE(redist::analyze::rule_description(id).empty()) << id;
+  }
+}
+
+TEST(LintSuppression, DirectivesNeutralizeFindings) {
+  EXPECT_TRUE(lint_fixture("suppressed.cpp", only({"wallclock"})).empty());
+}
+
+TEST(LintSuppression, DirectiveOnlyCoversAdjacentLine) {
+  const char* src =
+      "// redist-analyze: allow(wallclock) covers next line only\n"
+      "long a() { return time(nullptr); }\n"
+      "long b() { return time(nullptr); }\n";
+  const auto findings =
+      analyze_source("src/kpbs/f.cpp", src, only({"wallclock"}));
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+TEST(LintSuppression, TrailingDirectiveDoesNotBlanketTheNextLine) {
+  // Regression: a trailing allow on one member must not swallow a finding
+  // on the member declared directly below it.
+  const char* src =
+      "class C {\n"
+      "  Mutex mu_;\n"
+      "  Engine eng_;  // redist-analyze: allow(mutex-guard) ctor-only\n"
+      "  int active_ = 0;\n"
+      "};\n";
+  const auto findings =
+      analyze_source("src/runtime/x.hpp", src, only(kPerFileRules));
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 4);
+}
+
+TEST(LintSuppression, WrongRuleIdDoesNotSuppress) {
+  const char* src =
+      "// redist-analyze: allow(float-eq) wrong rule\n"
+      "long a() { return time(nullptr); }\n";
+  EXPECT_EQ(
+      analyze_source("src/kpbs/f.cpp", src, only({"wallclock"})).size(), 1u);
+}
+
+// The same coverage rule holds for whole-program rules: a trailing allow
+// on one manual transition does not hide the one on the next line.
+TEST(AnalyzeSuppression, TrailingDirectiveCoversOnlyItsOwnLine) {
+  const char* src =
+      "void f(Mutex& m) {\n"
+      "  m.lock();  // redist-analyze: allow(lock-transition) paired below\n"
+      "  m.unlock();\n"
+      "}\n";
+  const auto findings =
+      analyze_source("src/net/f.cpp", src, only({"lock-transition"}));
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+// One directive, one comma list, both kinds of rule.
+TEST(AnalyzeSuppression, CommaListCoversWholeProgramAndPerFileRules) {
+  const std::string code =
+      "long f(Mutex& m) { m.lock(); return time(nullptr); }\n";
+  const auto unsuppressed = analyze_source("src/net/f.cpp", code, {});
+  ASSERT_EQ(unsuppressed.size(), 2u)
+      << redist::analyze::format_report(unsuppressed);
+  EXPECT_EQ(unsuppressed[0].rule, "lock-transition");
+  EXPECT_EQ(unsuppressed[1].rule, "wallclock");
+  const std::string suppressed =
+      "// redist-analyze: allow(lock-transition, wallclock) audited\n" + code;
+  EXPECT_TRUE(analyze_source("src/net/f.cpp", suppressed, {}).empty());
+}
+
+// Acceptance scenario 1: seeding rand() into the solver must fail the run.
+TEST(LintScoping, RandInSolverFires) {
+  const char* src = "int jitter() { return rand(); }\n";
+  const auto findings =
+      analyze_source("src/kpbs/solver.cpp", src, only(kPerFileRules));
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-nondeterminism");
+}
+
+TEST(LintScoping, TestsAreOutsideNondeterminismScope) {
+  const char* src = "int jitter() { return rand(); }\n";
+  EXPECT_TRUE(
+      analyze_source("tests/test_foo.cpp", src, only(kPerFileRules)).empty());
+}
+
+TEST(LintScoping, RngImplementationIsExempt) {
+  const char* src = "struct S { int x = mt19937_size; };\nint mt19937;\n";
+  EXPECT_TRUE(
+      analyze_source("src/common/rng.hpp", src, only(kPerFileRules)).empty());
+}
+
+TEST(LintScoping, StopwatchOwnsTheWallClock) {
+  const char* src = "long f() { return time(nullptr); }\n";
+  EXPECT_TRUE(analyze_source("src/common/stopwatch.hpp", src,
+                             only(kPerFileRules))
+                  .empty());
+  EXPECT_EQ(analyze_source("src/common/stopwatch.cpp", src,
+                           only(kPerFileRules))
+                .size(),
+            1u);
+}
+
+// Acceptance scenario 2: deleting a GUARDED_BY from an annotated class
+// must fail the run.
+TEST(LintMutexGuard, RemovingGuardedByFires) {
+  const char* annotated =
+      "class C {\n"
+      "  Mutex mu_;\n"
+      "  long total_ REDIST_GUARDED_BY(mu_) = 0;\n"
+      "};\n";
+  const char* stripped =
+      "class C {\n"
+      "  Mutex mu_;\n"
+      "  long total_ = 0;\n"
+      "};\n";
+  EXPECT_TRUE(
+      analyze_source("src/runtime/x.hpp", annotated, only(kPerFileRules))
+          .empty());
+  const auto findings =
+      analyze_source("src/runtime/x.hpp", stripped, only(kPerFileRules));
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "mutex-guard");
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+TEST(LintMutexGuard, ConstAtomicAndReferencesAreExemptByDefault) {
+  const char* src =
+      "class C {\n"
+      "  Mutex mu_;\n"
+      "  const int capacity_ = 4;\n"
+      "  std::atomic<bool> done_{false};\n"
+      "  Engine& engine_;\n"
+      "  static int instances;\n"
+      "};\n";
+  EXPECT_TRUE(
+      analyze_source("src/runtime/x.hpp", src, only(kPerFileRules)).empty());
+}
+
+// String literals keep their quotes in the token stream, so a "}" in a
+// member initializer cannot close the class body early.
+TEST(LintMutexGuard, BracesInsideStringsDoNotEndTheClass) {
+  const char* src =
+      "class C {\n"
+      "  Mutex mu_;\n"
+      "  std::string close_ REDIST_GUARDED_BY(mu_) = \"}\";\n"
+      "  int count_ = 0;\n"
+      "};\n";
+  const auto findings =
+      analyze_source("src/runtime/x.hpp", src, only(kPerFileRules));
+  ASSERT_EQ(findings.size(), 1u) << redist::analyze::format_report(findings);
+  EXPECT_EQ(findings[0].line, 4);
+}
+
+TEST(LintFloatEq, NullptrComparisonIsNotAFloatCompare) {
+  const char* src =
+      "bool f(double* solve_ms) { return solve_ms != nullptr; }\n";
+  EXPECT_TRUE(
+      analyze_source("src/kpbs/x.cpp", src, only(kPerFileRules)).empty());
+}
+
+// A signed exponent belongs to its number: `1e-9` must reach float-eq as
+// one float literal, not as `1e`, `-`, `9`.
+TEST(LintFloatEq, SignedExponentLiteralIsOneToken) {
+  const char* src = "bool f(double x) { return x == 1e-9 || x != 2E+3; }\n";
+  const auto findings = analyze_source("src/kpbs/x.cpp", src, {});
+  ASSERT_EQ(findings.size(), 2u) << redist::analyze::format_report(findings);
+  for (const Finding& f : findings) EXPECT_EQ(f.rule, "float-eq");
+  const std::string report = redist::analyze::format_report(findings);
+  EXPECT_NE(report.find("against '1e-9'"), std::string::npos) << report;
+  EXPECT_NE(report.find("against '2E+3'"), std::string::npos) << report;
+}
+
+TEST(LintTokenizer, StringsCommentsAndPreprocessorAreInvisible) {
+  const char* src =
+      "#include <random>  // mt19937 lives here\n"
+      "const char* kName = \"mt19937\";\n"
+      "/* rand() in a block comment */\n"
+      "int f() { return 0; }\n";
+  EXPECT_TRUE(analyze_source("src/kpbs/x.cpp", src, {}).empty());
+}
+
+// Regression: a line comment with a trailing backslash splices the next
+// source line into the comment; trigger tokens there are comment text.
+TEST(LintTokenizer, CommentLineContinuationStaysComment) {
+  const char* src =
+      "// continues onto the next line \\\n"
+      "   rand() mt19937 system_clock\n"
+      "int f() { return 0; }\n";
+  EXPECT_TRUE(analyze_source("src/kpbs/x.cpp", src, {}).empty());
+}
+
+// Regression: a block comment opened on a preprocessor line swallows its
+// continuation lines instead of leaking them into the token stream.
+TEST(LintTokenizer, BlockCommentOpenedOnPreprocessorLine) {
+  const char* src =
+      "#define BANNER /* spans lines\n"
+      "  rand() mt19937 gettimeofday\n"
+      "*/ 1\n"
+      "int g() { return BANNER; }\n";
+  EXPECT_TRUE(analyze_source("src/kpbs/x.cpp", src, {}).empty());
+}
+
+// ...while a quoted "/*" on a preprocessor line must NOT open a comment:
+// the code after it is still analyzed (the rand() below has to fire).
+TEST(LintTokenizer, QuotedCommentOpenerOnPreprocessorLineIsInert) {
+  const char* src =
+      "#define P \"/*\"\n"
+      "int h() { return rand(); }\n";
+  const auto findings = analyze_source("src/kpbs/x.cpp", src, {});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-nondeterminism");
+  EXPECT_EQ(findings[0].line, 2);
+}
+
+// Regression: an encoding prefix (u8R, LR, uR, UR) still opens a raw
+// string, so nothing quoted inside it reaches a rule.
+TEST(LintTokenizer, EncodingPrefixedRawStringsAreInert) {
+  for (const std::string prefix : {"R", "u8R", "LR", "uR", "UR"}) {
+    const std::string src =
+        "REDIST_DETERMINISTIC int f() { const auto* s = " + prefix +
+        "\"x(\" rand() \")x\"; return 0; }\n";
+    const auto findings = analyze_source("src/kpbs/x.cpp", src, {});
+    EXPECT_TRUE(findings.empty())
+        << prefix << ": " << redist::analyze::format_report(findings);
+  }
+}
+
+// The full trap corpus (strings + comments stuffed with trigger tokens)
+// must stay clean under every rule.
+TEST(LintTokenizer, TrapFixtureStaysCleanUnderAllRules) {
+  for (const Finding& f : lint_fixture("pass_tokenizer_traps.cpp", {})) {
+    ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
+                  << f.message;
+  }
+}
+
+TEST(LintCli, MissingFileThrows) {
+  EXPECT_THROW(redist::analyze::tus_from_compile_commands(
+                   "/nonexistent/compile_commands.json", "/"),
+               std::runtime_error);
 }
 
 }  // namespace

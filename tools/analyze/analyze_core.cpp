@@ -22,6 +22,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 struct Token {
+  // String literals keep their quotes and raw strings and char literals are
+  // empty, so no literal can ever read as an identifier or punctuation.
   std::string text;
   int line = 0;
   char kind = 'p';  // 'i'dent, 'n'umber, 's'tring, 'c'har, 'p'unct
@@ -33,36 +35,78 @@ struct IncludeEdge {
   bool conditional = false;  // inside #if/#ifdef/#ifndef at depth > 0
 };
 
-struct AllowDirective {
-  int line = 0;
-  std::string rule;
-};
+// Suppressions harvested from comments: (line, rule id) pairs.
+using AllowSet = std::set<std::pair<int, std::string>>;
 
 struct Lexed {
   std::vector<Token> tokens;
   std::vector<IncludeEdge> includes;
-  std::vector<AllowDirective> allows;
+  AllowSet allows;
 };
 
 bool is_ident_start(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
-bool is_ident_char(char c) { return is_ident_start(c) || (c >= '0' && c <= '9'); }
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_ident_char(char c) { return is_ident_start(c) || is_digit(c); }
 
-// `// redist-analyze: allow(rule-id) reason` — same grammar as redist_lint's
-// suppressions, with our own tool name so the two passes never mask each
-// other's findings.
-void harvest_allows(const std::string& comment, int line,
-                    std::vector<AllowDirective>& out) {
-  std::size_t at = 0;
-  while ((at = comment.find("redist-analyze:", at)) != std::string::npos) {
-    std::size_t open = comment.find("allow(", at);
-    if (open == std::string::npos) break;
-    std::size_t close = comment.find(')', open);
-    if (close == std::string::npos) break;
-    out.push_back({line, comment.substr(open + 6, close - open - 6)});
-    at = close;
+// Records `redist-analyze: allow(rule[, rule...]) reason` directives. A
+// standalone comment covers its own line(s) plus the line below; a trailing
+// comment (code before it on the same line) covers only its own line(s),
+// so it cannot blanket the next declaration.
+void harvest_allows(std::string_view comment, int first_line, int last_line,
+                    bool standalone, AllowSet& allows) {
+  std::size_t pos = comment.find("redist-analyze:");
+  if (pos == std::string_view::npos) return;
+  const int cover_to = standalone ? last_line + 1 : last_line;
+  while ((pos = comment.find("allow(", pos)) != std::string_view::npos) {
+    pos += 6;
+    const std::size_t close = comment.find(')', pos);
+    if (close == std::string_view::npos) return;
+    std::stringstream list{std::string(comment.substr(pos, close - pos))};
+    std::string rule;
+    while (std::getline(list, rule, ',')) {
+      const std::size_t begin = rule.find_first_not_of(" \t");
+      if (begin == std::string::npos) continue;
+      const std::size_t end = rule.find_last_not_of(" \t");
+      for (int l = first_line; l <= cover_to; ++l)
+        allows.emplace(l, rule.substr(begin, end - begin + 1));
+    }
+    pos = close;
   }
+}
+
+// Consumes the comment opening at src[i] ("//" or "/*"), harvesting its
+// directives. Returns one past its end (a line comment stops before '\n').
+std::size_t consume_comment(const std::string& src, std::size_t i, int& line,
+                            bool standalone, AllowSet& allows) {
+  const std::size_t n = src.size();
+  const int first_line = line;
+  std::size_t stop = i + 2;
+  if (src[i + 1] == '/') {
+    // A trailing backslash splices the next line into the comment
+    // (translation phase 2 runs before comment removal).
+    while (stop < n && src[stop] != '\n') ++stop;
+    while (stop < n && src[stop - 1] == '\\') {
+      ++line;
+      ++stop;
+      while (stop < n && src[stop] != '\n') ++stop;
+    }
+  } else {
+    while (stop + 1 < n && !(src[stop] == '*' && src[stop + 1] == '/')) {
+      if (src[stop] == '\n') ++line;
+      ++stop;
+    }
+    stop = (stop + 1 < n) ? stop + 2 : n;
+  }
+  harvest_allows(std::string_view(src).substr(i, stop - i), first_line, line,
+                 standalone, allows);
+  return stop;
+}
+
+bool opens_comment(const std::string& src, std::size_t i) {
+  return src[i] == '/' && i + 1 < src.size() &&
+         (src[i + 1] == '/' || src[i + 1] == '*');
 }
 
 // Consumes a string literal starting at src[i] == '"'. Returns one past the
@@ -86,7 +130,7 @@ std::size_t consume_string(const std::string& src, std::size_t i, int& line,
   return i;
 }
 
-// Raw string literal: i points at the '"' after R. R"delim(...)delim".
+// Raw string literal: i points at the '"' after the R. R"delim(...)delim".
 std::size_t consume_raw_string(const std::string& src, std::size_t i,
                                int& line) {
   const std::size_t n = src.size();
@@ -94,11 +138,16 @@ std::size_t consume_raw_string(const std::string& src, std::size_t i,
   std::string delim;
   while (i < n && src[i] != '(') delim.push_back(src[i++]);
   const std::string closer = ")" + delim + "\"";
-  std::size_t end = src.find(closer, i);
-  if (end == std::string::npos) return n;
-  for (std::size_t k = i; k < end; ++k)
+  const std::size_t end = src.find(closer, i);
+  const std::size_t stop = end == std::string::npos ? n : end + closer.size();
+  for (std::size_t k = i; k < stop; ++k)
     if (src[k] == '\n') ++line;
-  return end + closer.size();
+  return stop;
+}
+
+bool is_raw_string_prefix(const std::string& word) {
+  return word == "R" || word == "LR" || word == "uR" || word == "UR" ||
+         word == "u8R";
 }
 
 Lexed lex(const std::string& src) {
@@ -106,8 +155,13 @@ Lexed lex(const std::string& src) {
   const std::size_t n = src.size();
   std::size_t i = 0;
   int line = 1;
+  int code_line = 0;       // line on which the last token ended
   int cond_depth = 0;      // #if/#ifdef/#ifndef nesting
   bool at_line_start = true;
+  auto emit = [&](std::string text, int token_line, char kind) {
+    out.tokens.push_back({std::move(text), token_line, kind});
+    code_line = line;
+  };
 
   while (i < n) {
     const char c = src[i];
@@ -122,39 +176,16 @@ Lexed lex(const std::string& src) {
       ++i;
       continue;
     }
-
-    // Line comment — a trailing backslash splices the next line into the
-    // comment (translation phase 2 runs before comment removal).
-    if (c == '/' && i + 1 < n && src[i + 1] == '/') {
-      std::size_t stop = i + 2;
-      const int start_line = line;
-      while (stop < n && src[stop] != '\n') ++stop;
-      while (stop < n && stop > 0 && src[stop - 1] == '\\') {
-        ++line;
-        ++stop;
-        while (stop < n && src[stop] != '\n') ++stop;
-      }
-      harvest_allows(src.substr(i, stop - i), start_line, out.allows);
-      i = stop;
-      continue;
-    }
-    // Block comment.
-    if (c == '/' && i + 1 < n && src[i + 1] == '*') {
-      const int start_line = line;
-      std::size_t stop = i + 2;
-      while (stop + 1 < n && !(src[stop] == '*' && src[stop + 1] == '/')) {
-        if (src[stop] == '\n') ++line;
-        ++stop;
-      }
-      stop = (stop + 1 < n) ? stop + 2 : n;
-      harvest_allows(src.substr(i, stop - i), start_line, out.allows);
-      i = stop;
+    if (opens_comment(src, i)) {
+      i = consume_comment(src, i, line, code_line != line, out.allows);
       continue;
     }
 
     // Preprocessor directive. Tracks conditional nesting and captures
     // quoted includes; everything else on the line is skipped with full
-    // comment/string/continuation awareness.
+    // comment/string/continuation awareness, so a block comment opened on
+    // the directive line swallows its continuation while a quoted "/*"
+    // stays inert.
     if (c == '#' && at_line_start) {
       const int directive_line = line;
       std::size_t j = i + 1;
@@ -195,19 +226,8 @@ Lexed lex(const std::string& src) {
           if (j < n && src[j] == '\'') ++j;
           continue;
         }
-        if (src[j] == '/' && j + 1 < n && src[j + 1] == '/') {
-          while (j < n && src[j] != '\n') ++j;
-          break;
-        }
-        if (src[j] == '/' && j + 1 < n && src[j + 1] == '*') {
-          const int open_line = line;
-          std::size_t stop = j + 2;
-          while (stop + 1 < n && !(src[stop] == '*' && src[stop + 1] == '/')) {
-            if (src[stop] == '\n') ++line;
-            ++stop;
-          }
-          harvest_allows(src.substr(j, stop + 2 - j), open_line, out.allows);
-          j = (stop + 1 < n) ? stop + 2 : n;
+        if (opens_comment(src, j)) {
+          j = consume_comment(src, j, line, false, out.allows);
           continue;
         }
         ++j;
@@ -219,17 +239,11 @@ Lexed lex(const std::string& src) {
 
     at_line_start = false;
 
-    // Raw string literal (R"..."), possibly behind an encoding prefix.
-    if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
-      out.tokens.push_back({"", line, 's'});
-      i = consume_raw_string(src, i + 1, line);
-      continue;
-    }
     if (c == '"') {
       std::string text;
       const int start_line = line;
       i = consume_string(src, i, line, &text);
-      out.tokens.push_back({text, start_line, 's'});
+      emit('"' + text + '"', start_line, 's');
       continue;
     }
     if (c == '\'') {
@@ -239,28 +253,40 @@ Lexed lex(const std::string& src) {
         ++i;
       }
       if (i < n && src[i] == '\'') ++i;
-      out.tokens.push_back({"", line, 'c'});
+      emit("", line, 'c');
       continue;
     }
 
     if (is_ident_start(c)) {
       std::size_t j = i;
       while (j < n && is_ident_char(src[j])) ++j;
-      out.tokens.push_back({src.substr(i, j - i), line, 'i'});
+      std::string word = src.substr(i, j - i);
+      // Raw string literal, possibly behind an encoding prefix (u8R, LR...).
+      if (j < n && src[j] == '"' && is_raw_string_prefix(word)) {
+        const int start_line = line;
+        i = consume_raw_string(src, j, line);
+        emit("", start_line, 's');
+        continue;
+      }
+      emit(std::move(word), line, 'i');
       i = j;
       continue;
     }
-    if (c >= '0' && c <= '9') {
-      std::size_t j = i;
+    // Number: hex, floats, digit separators, suffixes, and signed exponents
+    // (1e-9 is one token).
+    if (is_digit(c) || (c == '.' && i + 1 < n && is_digit(src[i + 1]))) {
+      std::size_t j = i + 1;
       while (j < n && (is_ident_char(src[j]) || src[j] == '.' ||
-                       src[j] == '\'')) {
+                       src[j] == '\'' ||
+                       ((src[j] == '+' || src[j] == '-') &&
+                        (src[j - 1] == 'e' || src[j - 1] == 'E')))) {
         ++j;
       }
-      out.tokens.push_back({src.substr(i, j - i), line, 'n'});
+      emit(src.substr(i, j - i), line, 'n');
       i = j;
       continue;
     }
-    out.tokens.push_back({std::string(1, c), line, 'p'});
+    emit(std::string(1, c), line, 'p');
     ++i;
   }
   return out;
@@ -494,12 +520,15 @@ void index_contracts(const std::string& path, const std::vector<Token>& toks,
 // Determinism / purity sinks
 // ---------------------------------------------------------------------------
 
+/// Unseeded or engine-level randomness: a determinism sink and the
+/// no-nondeterminism rule's ban list.
 const std::unordered_set<std::string>& rng_idents() {
   static const std::unordered_set<std::string> k = {
-      "rand",          "srand",        "rand_r",
-      "drand48",       "lrand48",      "mrand48",
-      "random_device", "mt19937",      "mt19937_64",
-      "minstd_rand",   "minstd_rand0", "default_random_engine",
+      "rand",          "srand",         "rand_r",
+      "drand48",       "lrand48",       "mrand48",
+      "random_device", "mt19937",       "mt19937_64",
+      "minstd_rand",   "minstd_rand0",  "default_random_engine",
+      "knuth_b",       "ranlux24",      "ranlux48",
       "random_shuffle"};
   return k;
 }
@@ -664,6 +693,357 @@ bool exempt_from_sinks(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-file rules: token-window checks over one file's stream at a time
+// ---------------------------------------------------------------------------
+
+/// Per-file rule path scopes (repo-relative paths); tests/ and examples/
+/// are outside every scope.
+bool rule_in_scope(std::string_view rule, std::string_view path) {
+  const bool in_src = path.starts_with("src/");
+  const bool in_tools = path.starts_with("tools/");
+  const bool in_bench = path.starts_with("bench/");
+  if (rule == "no-nondeterminism") {
+    return (in_src && !path.starts_with("src/common/rng.")) || in_tools ||
+           in_bench;
+  }
+  if (rule == "float-eq") return in_src || in_tools;
+  if (rule == "telemetry-guard") return in_src || in_tools || in_bench;
+  if (rule == "mutex-guard") return in_src || in_tools;
+  if (rule == "wallclock") {
+    return (in_src && path != "src/common/stopwatch.hpp") || in_tools;
+  }
+  return false;
+}
+
+/// Punctuation is lexed one character at a time: true when the two-char
+/// operator `op` ("==", "!=", "::", "->") starts at t[i].
+bool op_at(const std::vector<Token>& t, std::size_t i, const char* op) {
+  return i + 1 < t.size() && t[i].kind == 'p' && t[i].text[0] == op[0] &&
+         t[i + 1].kind == 'p' && t[i + 1].text[0] == op[1];
+}
+
+bool is_float_literal(const Token& t) {
+  if (t.kind != 'n') return false;
+  if (t.text.starts_with("0x") || t.text.starts_with("0X")) return false;
+  return t.text.find_first_of(".eE") != std::string::npos;
+}
+
+/// Identifier names that are doubles by repo convention (weights and
+/// costs are integral; these are the floating spellings that show up at
+/// the schedule-quality seams).
+bool double_valued_name(std::string_view name) {
+  if (name.ends_with("_bps") || name.ends_with("_ms") ||
+      name.ends_with("_seconds") || name.ends_with("_ratio") ||
+      name.ends_with("_double")) {
+    return true;
+  }
+  return name == "ratio" || name == "seconds" || name == "bps" ||
+         name == "elapsed" || name == "makespan_ratio";
+}
+
+/// The wallclock rule's ban list. Unlike the determinism sinks, steady
+/// clocks are fine here (the Stopwatch is one) and calendar formatting is
+/// not.
+const std::unordered_set<std::string>& wallclock_rule_idents() {
+  static const std::unordered_set<std::string> k = {
+      "system_clock", "gettimeofday", "clock_gettime", "ntp_gettime",
+      "localtime",    "localtime_r",  "gmtime",        "gmtime_r",
+      "ctime",        "strftime",     "timespec_get"};
+  return k;
+}
+
+void check_nondeterminism(const std::vector<Token>& tokens,
+                          std::vector<Finding>& out) {
+  for (const Token& t : tokens) {
+    if (t.kind != 'i' || rng_idents().count(t.text) == 0) continue;
+    out.push_back(Finding{
+        "", t.line, "no-nondeterminism",
+        "nondeterminism source '" + t.text +
+            "' in solver code; schedules must be replayable — draw from a "
+            "seeded redist::Rng (common/rng.hpp) instead"});
+  }
+}
+
+void check_float_eq(const std::vector<Token>& tokens,
+                    std::vector<Finding>& out) {
+  for (std::size_t i = 1; i + 2 < tokens.size(); ++i) {
+    if (!op_at(tokens, i, "==") && !op_at(tokens, i, "!=")) continue;
+    const std::string op = tokens[i].text + tokens[i + 1].text;
+    const Token& prev = tokens[i - 1];
+    if (prev.kind == 'i' && prev.text == "operator") continue;
+    const Token& next = tokens[i + 2];
+    // Pointer null checks on double-valued names are not float compares.
+    if (prev.text == "nullptr" || next.text == "nullptr" ||
+        prev.text == "NULL" || next.text == "NULL") {
+      continue;
+    }
+    std::string culprit;
+    if (is_float_literal(prev)) culprit = prev.text;
+    if (is_float_literal(next)) culprit = next.text;
+    if (culprit.empty() && prev.kind == 'i' && double_valued_name(prev.text)) {
+      culprit = prev.text;
+    }
+    if (culprit.empty() && next.kind == 'i' && double_valued_name(next.text)) {
+      culprit = next.text;
+    }
+    if (culprit.empty()) continue;
+    out.push_back(Finding{
+        "", tokens[i].line, "float-eq",
+        "floating-point '" + op + "' against '" + culprit +
+            "'; schedule costs/weights compare exactly only as integers — "
+            "use a tolerance or integer units"});
+  }
+}
+
+void check_telemetry_guard(const std::vector<Token>& tokens,
+                           std::vector<Finding>& out) {
+  for (std::size_t i = 3; i + 4 < tokens.size(); ++i) {
+    // Pattern: obs :: (metrics|trace) ( ) ->
+    if (tokens[i].kind != 'i' ||
+        (tokens[i].text != "metrics" && tokens[i].text != "trace")) {
+      continue;
+    }
+    if (!op_at(tokens, i - 2, "::") || tokens[i - 3].text != "obs") continue;
+    if (tokens[i + 1].text != "(" || tokens[i + 2].text != ")" ||
+        !op_at(tokens, i + 3, "->")) {
+      continue;
+    }
+    out.push_back(Finding{
+        "", tokens[i].line, "telemetry-guard",
+        "obs::" + tokens[i].text +
+            "()-> dereferences the telemetry sink without a null guard; "
+            "bind it to a pointer and branch (nullptr = telemetry off)"});
+  }
+}
+
+void check_wallclock(const std::vector<Token>& tokens,
+                     std::vector<Finding>& out) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const Token& t = tokens[i];
+    if (t.kind != 'i') continue;
+    bool banned = wallclock_rule_idents().count(t.text) != 0;
+    // time( and clock( only as direct calls, not members or other idents.
+    if (!banned && (t.text == "time" || t.text == "clock")) {
+      const bool called = tok_is(tokens, i + 1, "(");
+      const bool member = (i > 0 && tokens[i - 1].text == ".") ||
+                          (i > 1 && op_at(tokens, i - 2, "->"));
+      banned = called && !member;
+    }
+    if (!banned) continue;
+    out.push_back(Finding{
+        "", t.line, "wallclock",
+        "wall-clock read '" + t.text +
+            "' outside common/stopwatch.hpp; benchmarks and traces must "
+            "share the Stopwatch steady timebase"});
+  }
+}
+
+// mutex-guard: a structural pass over class bodies.
+
+bool is_annotation_macro(std::string_view name) {
+  return name.starts_with("REDIST_") &&
+         (name.ends_with("GUARDED_BY") || name == "REDIST_CAPABILITY" ||
+          name == "REDIST_ACQUIRED_BEFORE" || name == "REDIST_ACQUIRED_AFTER");
+}
+
+struct MemberDecl {
+  std::vector<Token> tokens;  // annotation macros removed
+  bool has_guard_annotation = false;
+  bool has_parens = false;  // top-level parens at angle depth 0 => function
+};
+
+// Parses one class body starting at the token after '{'; returns the index
+// just past the matching '}'. Emits findings for the body (recursing into
+// nested classes).
+std::size_t check_class_body(const std::vector<Token>& tokens,
+                             std::size_t begin, const std::string& class_name,
+                             std::vector<Finding>& out);
+
+// Scans tokens[i] for a class/struct definition head; if found, checks the
+// body and returns the index just past it, else returns i + 1.
+std::size_t maybe_class(const std::vector<Token>& tokens, std::size_t i,
+                        std::vector<Finding>& out) {
+  const Token& t = tokens[i];
+  if (t.kind != 'i' || (t.text != "class" && t.text != "struct")) {
+    return i + 1;
+  }
+  // `template <class T>` parameters are not class definitions.
+  if (i > 0 && (tokens[i - 1].text == "<" || tokens[i - 1].text == ",")) {
+    return i + 1;
+  }
+  // Find the body '{' (skipping attribute-macro parens); a ';' first means
+  // a forward declaration, and ':' introduces bases (no parens there).
+  std::string name;
+  std::size_t j = i + 1;
+  int paren = 0;
+  while (j < tokens.size()) {
+    const Token& tj = tokens[j];
+    if (tj.text == "(") ++paren;
+    if (tj.text == ")") --paren;
+    if (paren == 0) {
+      if (tj.text == ";") return j + 1;  // forward declaration
+      if (tj.text == "{") break;
+      if (tj.kind == 'i' && name.empty() && !is_annotation_macro(tj.text) &&
+          tj.text != "final" && tj.text != "REDIST_SCOPED_CAPABILITY") {
+        name = tj.text;
+      }
+    }
+    ++j;
+  }
+  if (j >= tokens.size()) return i + 1;
+  return check_class_body(tokens, j + 1, name.empty() ? "<anon>" : name, out);
+}
+
+std::size_t check_class_body(const std::vector<Token>& tokens,
+                             std::size_t begin, const std::string& class_name,
+                             std::vector<Finding>& out) {
+  std::vector<MemberDecl> members;
+  bool has_mutex_member = false;
+  std::size_t i = begin;
+  MemberDecl current;
+  int angle = 0;
+  auto flush = [&]() {
+    if (!current.tokens.empty()) members.push_back(std::move(current));
+    current = MemberDecl{};
+    angle = 0;
+  };
+  while (i < tokens.size()) {
+    const Token& t = tokens[i];
+    if (t.text == "}") {
+      flush();
+      ++i;
+      break;
+    }
+    // Access specifiers.
+    if (t.kind == 'i' &&
+        (t.text == "public" || t.text == "private" || t.text == "protected") &&
+        tok_is(tokens, i + 1, ":")) {
+      flush();
+      i += 2;
+      continue;
+    }
+    // Nested class/struct definition: recurse, then skip its trailing ';'.
+    if (t.kind == 'i' && (t.text == "class" || t.text == "struct") &&
+        current.tokens.empty()) {
+      i = maybe_class(tokens, i, out);
+      if (tok_is(tokens, i, ";")) ++i;
+      continue;
+    }
+    // Annotation macro: record and drop its tokens.
+    if (t.kind == 'i' && is_annotation_macro(t.text) &&
+        tok_is(tokens, i + 1, "(")) {
+      if (t.text.ends_with("GUARDED_BY")) current.has_guard_annotation = true;
+      i = match_paren(tokens, i + 1) + 1;
+      continue;
+    }
+    if (t.text == "<") ++angle;
+    if (t.text == ">" && angle > 0 && !(i > 0 && op_at(tokens, i - 1, "->")))
+      --angle;
+    if (t.text == "(" && angle == 0) current.has_parens = true;
+    // Braces: a function body (parens seen) is skipped wholesale; an
+    // initializer brace is consumed into the declaration.
+    if (t.text == "{") {
+      i = match_brace(tokens, i) + 1;
+      if (current.has_parens) {  // function definition: declaration over
+        if (tok_is(tokens, i, ";")) ++i;
+        current = MemberDecl{};
+        angle = 0;
+      }
+      continue;
+    }
+    if (t.text == ";") {
+      flush();
+      ++i;
+      continue;
+    }
+    current.tokens.push_back(t);
+    ++i;
+  }
+  const std::size_t end = i;
+
+  // Classify collected declarations.
+  struct Pending {
+    std::string name;
+    int line;
+  };
+  std::vector<Pending> unguarded;
+  for (const MemberDecl& m : members) {
+    const std::string& head = m.tokens.front().text;
+    if (head == "using" || head == "typedef" || head == "friend" ||
+        head == "static" || head == "template" || head == "operator" ||
+        head == "enum" || head == "explicit" || head == "virtual") {
+      continue;
+    }
+    if (m.has_parens) continue;  // function declaration
+    bool is_const = false;
+    bool is_atomic = false;
+    bool is_reference = false;
+    bool is_sync_type = false;  // Mutex / CondVar / MutexLock members
+    bool is_raw_mutex = false;
+    std::string name;
+    int name_line = m.tokens.front().line;
+    for (std::size_t k = 0; k < m.tokens.size(); ++k) {
+      const Token& tk = m.tokens[k];
+      if (op_at(m.tokens, k, "==") || op_at(m.tokens, k, "!=")) {
+        ++k;  // a comparison, not the default initializer
+        continue;
+      }
+      if (tk.text == "=") break;  // default initializer: name came before
+      if (tk.text == "const" || tk.text == "constexpr") is_const = true;
+      if (tk.text == "atomic") is_atomic = true;
+      if (tk.text == "&") is_reference = true;
+      if (tk.text == "Mutex" || tk.text == "CondVar" ||
+          tk.text == "MutexLock") {
+        is_sync_type = true;
+      }
+      if (tk.text == "mutex" || tk.text == "shared_mutex" ||
+          tk.text == "recursive_mutex" || tk.text == "timed_mutex" ||
+          tk.text == "condition_variable" ||
+          tk.text == "condition_variable_any") {
+        if (k > 1 && op_at(m.tokens, k - 2, "::")) is_raw_mutex = true;
+      }
+      if (tk.kind == 'i') {
+        name = tk.text;
+        name_line = tk.line;
+      }
+    }
+    if (name.empty()) continue;
+    if (is_raw_mutex) {
+      out.push_back(Finding{
+          "", name_line, "mutex-guard",
+          "raw std:: synchronization member '" + name + "' in '" +
+              class_name +
+              "'; use redist::Mutex/CondVar (common/sync.hpp) so clang "
+              "thread-safety analysis can track it"});
+      continue;
+    }
+    if (is_sync_type && !is_reference) {
+      has_mutex_member = true;
+      continue;
+    }
+    if (is_const || is_atomic || is_reference || is_sync_type) continue;
+    if (m.has_guard_annotation) continue;
+    unguarded.push_back(Pending{name, name_line});
+  }
+  if (has_mutex_member) {
+    for (const Pending& p : unguarded) {
+      out.push_back(Finding{
+          "", p.line, "mutex-guard",
+          "member '" + p.name + "' of Mutex-holding class '" + class_name +
+              "' has no REDIST_GUARDED_BY; annotate it, make it "
+              "const/atomic, or add an allow with a reason"});
+    }
+  }
+  return end;
+}
+
+void check_mutex_guard(const std::vector<Token>& tokens,
+                       std::vector<Finding>& out) {
+  std::size_t i = 0;
+  while (i < tokens.size()) i = maybe_class(tokens, i, out);
+}
+
+// ---------------------------------------------------------------------------
 // The analysis driver
 // ---------------------------------------------------------------------------
 
@@ -812,9 +1192,9 @@ void check_layer_tags(Analysis& a) {
       if (toks[t].kind != 'i' || toks[t].text != "REDIST_LAYER") continue;
       if (!tok_is(toks, t + 1, "(") || toks[t + 2].kind != 's') continue;
       tagged = true;
-      if (toks[t + 2].text != mod) {
+      if (toks[t + 2].text != "\"" + mod + "\"") {
         a.add(path, toks[t].line, "layer-tag",
-              "REDIST_LAYER(\"" + toks[t + 2].text + "\") disagrees with "
+              "REDIST_LAYER(" + toks[t + 2].text + ") disagrees with "
               "this header's directory; expected REDIST_LAYER(\"" + mod +
               "\")");
       }
@@ -873,6 +1253,28 @@ void check_lock_transitions(Analysis& a) {
             "manual ." + toks[t].text + "() in " + module_of(path) +
             " code: exceptions between transitions leak the mutex; hold "
             "locks through a MutexLock scope instead");
+    }
+  }
+}
+
+void check_per_file_rules(Analysis& a) {
+  using Check = void (*)(const std::vector<Token>&, std::vector<Finding>&);
+  static const std::pair<const char*, Check> kChecks[] = {
+      {"no-nondeterminism", check_nondeterminism},
+      {"float-eq", check_float_eq},
+      {"telemetry-guard", check_telemetry_guard},
+      {"mutex-guard", check_mutex_guard},
+      {"wallclock", check_wallclock}};
+  for (std::size_t i = 0; i < a.sources.size(); ++i) {
+    const std::string& path = a.sources[i].path;
+    for (const auto& [rule, check] : kChecks) {
+      if (!a.enabled(rule) || !rule_in_scope(rule, path)) continue;
+      std::vector<Finding> found;
+      check(a.lexed[i].tokens, found);
+      for (Finding& f : found) {
+        f.file = path;
+        a.findings.push_back(std::move(f));
+      }
     }
   }
 }
@@ -1291,7 +1693,7 @@ void check_lock_rank(Analysis& a, LockAnalysis& la) {
       a.add(d.file, d.line, "lock-rank",
             "Mutex '" + d.name + "' has no REDIST_LOCK_RANK; every lock "
             "under src/ must declare its place in the acquisition order "
-            "(docs/STATIC_ANALYSIS.md, layer 4)");
+            "(docs/STATIC_ANALYSIS.md, layer 3)");
       continue;
     }
     auto [it, fresh] = ranked.emplace(d.name, &d);
@@ -1679,17 +2081,13 @@ std::string build_dot(const Analysis& a) {
 }
 
 void apply_suppressions(Analysis& a) {
-  std::set<std::tuple<std::string, int, std::string>> allowed;
-  for (std::size_t i = 0; i < a.sources.size(); ++i) {
-    for (const auto& d : a.lexed[i].allows) {
-      allowed.emplace(a.sources[i].path, d.line, d.rule);
-      allowed.emplace(a.sources[i].path, d.line + 1, d.rule);
-    }
-  }
   a.findings.erase(
       std::remove_if(a.findings.begin(), a.findings.end(),
                      [&](const Finding& f) {
-                       return allowed.count({f.file, f.line, f.rule}) != 0;
+                       const auto it = a.by_path.find(f.file);
+                       return it != a.by_path.end() &&
+                              a.lexed[it->second].allows.count(
+                                  {f.line, f.rule}) != 0;
                      }),
       a.findings.end());
 }
@@ -1705,7 +2103,9 @@ const std::vector<std::string>& rule_ids() {
       "determinism",    "purity",          "layering",
       "include-cycle",  "layer-tag",       "contract-drift",
       "deprecated-api", "lock-transition", "lock-rank",
-      "noblock",        "noalloc"};
+      "noblock",        "noalloc",         "no-nondeterminism",
+      "float-eq",       "telemetry-guard", "mutex-guard",
+      "wallclock"};
   return ids;
 }
 
@@ -1745,7 +2145,22 @@ std::string rule_description(const std::string& id) {
        "REDIST_ALLOW_BLOCK(reason) marks an audited boundary"},
       {"noalloc",
        "no new/malloc/container growth reachable from a REDIST_NOALLOC "
-       "function; REDIST_ALLOW_ALLOC(reason) marks an audited boundary"}};
+       "function; REDIST_ALLOW_ALLOC(reason) marks an audited boundary"},
+      {"no-nondeterminism",
+       "no rand()/std::random_device/std::mt19937/... in solver code; use "
+       "seeded redist::Rng"},
+      {"float-eq",
+       "no ==/!= against float literals or double-valued cost names; "
+       "schedule costs compare exactly only as integers"},
+      {"telemetry-guard",
+       "never dereference obs::metrics()/obs::trace() inline; bind to a "
+       "pointer and null-check (null sink = telemetry off)"},
+      {"mutex-guard",
+       "no raw std::mutex members (use redist::Mutex), and every mutable "
+       "member of a Mutex-holding class needs REDIST_GUARDED_BY"},
+      {"wallclock",
+       "no wall-clock reads (system_clock/time()/...) outside "
+       "common/stopwatch.hpp; time through redist::Stopwatch"}};
   auto it = descriptions.find(id);
   return it == descriptions.end() ? std::string() : it->second;
 }
@@ -1775,6 +2190,7 @@ AnalysisResult run_analysis(const std::vector<SourceFile>& sources,
     if (a.enabled("noblock")) check_noblock(a, la);
   }
   if (a.enabled("noalloc")) check_noalloc(a);
+  check_per_file_rules(a);
 
   AnalysisResult result;
   result.contracts = contract_inventory(a);

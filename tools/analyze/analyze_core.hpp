@@ -1,9 +1,11 @@
-// redist_analyze — semantic static analysis over the whole program.
+// redist_analyze — the repo's static analysis, per file and whole program.
 //
-// Where tools/redist_lint checks one file at a time at the token level,
-// this pass is driven by compile_commands.json: it lexes every translation
-// unit the build actually compiles, follows quoted includes to closure,
-// and builds two whole-program structures —
+// The pass is driven by compile_commands.json: it lexes every translation
+// unit the build actually compiles, follows quoted includes to closure, and
+// runs two kinds of rules over that set. Per-file rules walk one file's
+// token stream at a time, each within its own repo path scope (tests/ and
+// examples/ are outside every scope). Whole-program rules work on two
+// structures built across all files —
 //
 //   * an include graph (file- and module-level), checked against the
 //     architecture's layering DAG, and
@@ -12,7 +14,8 @@
 //     REDIST_PURE, REDIST_ALLOW_NONDET, REDIST_LAYER) are enforced by
 //     reachability.
 //
-// Rules (ids are stable; used in suppressions, fixtures and CI output):
+// Whole-program rules (ids are stable; used in suppressions, fixtures and
+// CI output):
 //   determinism     nothing reachable from a REDIST_DETERMINISTIC function
 //                   may touch RNG, wall clocks, thread ids, unordered-
 //                   container iteration, or float-keyed sort comparators
@@ -48,14 +51,35 @@
 //                   REDIST_NOALLOC function; REDIST_ALLOW_ALLOC(reason)
 //                   marks an audited boundary
 //
-// Suppression: `// redist-analyze: allow(rule-id) <reason>` on the same
-// line or the line directly above the finding (same grammar as
-// redist_lint). Like the lint pass, this is a token-level analysis — the
-// container toolchain has no libclang — so constructors invoked without
-// parentheses and calls through function pointers are invisible to the
-// call index; rules are scoped to patterns that are unambiguous at the
-// token level and every rule is pinned by must-fire and near-miss fixtures
-// under tests/analyze/.
+// Per-file rules (scope in brackets):
+//   no-nondeterminism  rand()/std::random_device/std::mt19937/... — all
+//                      randomness flows through the seeded redist::Rng so
+//                      schedules stay replayable [src/ except
+//                      src/common/rng.*, tools/, bench/]
+//   float-eq           ==/!= where an operand is a float literal or a
+//                      conventionally-double name (ratio/seconds/bps/...):
+//                      schedule costs compare exactly only as integers
+//                      [src/, tools/]
+//   telemetry-guard    obs::metrics()->… / obs::trace()->… dereferenced
+//                      without binding + null check (nullptr = telemetry
+//                      off is a supported state on every seam) [src/,
+//                      tools/, bench/]
+//   mutex-guard        raw std::mutex members (must be redist::Mutex so
+//                      clang thread-safety analysis can track them), and
+//                      unannotated mutable members in any class that holds
+//                      a Mutex [src/, tools/]
+//   wallclock          system_clock/time()/gettimeofday()/... — all timing
+//                      goes through the Stopwatch steady timebase [src/
+//                      except src/common/stopwatch.hpp, tools/]
+//
+// Suppression: `// redist-analyze: allow(rule-id[, rule-id...]) <reason>`.
+// A standalone comment covers its own line(s) and the line below; a
+// trailing comment covers only its own line. This is a token-level
+// analysis with no libclang dependency, so constructors invoked without
+// parentheses and calls through function pointers are
+// invisible to the call index; rules are scoped to patterns that are
+// unambiguous at the token level and every rule is pinned by must-fire and
+// near-miss fixtures under tests/analyze/ and tests/lint/.
 #pragma once
 
 #include <map>
@@ -86,7 +110,8 @@ struct Options {
 };
 
 /// One source file, with its repo-relative '/'-separated path. The path
-/// decides module membership (src/<module>/..., tools/..., bench/...).
+/// decides module membership (src/<module>/..., tools/..., bench/...) and
+/// which per-file rules apply.
 struct SourceFile {
   std::string path;
   std::string content;

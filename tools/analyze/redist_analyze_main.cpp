@@ -1,4 +1,4 @@
-// redist_analyze CLI: whole-program contract/layering analysis.
+// redist_analyze CLI: the repo's per-file and whole-program static rules.
 //
 //   redist_analyze --root=DIR --compile-commands=FILE
 //                  [--rules=r1,r2] [--baseline=FILE] [--write-baseline]
@@ -6,7 +6,8 @@
 //
 // Translation units come from the build's compile_commands.json (CMake
 // exports it via CMAKE_EXPORT_COMPILE_COMMANDS); their quoted includes are
-// chased to closure and the whole set analyzed together. Findings print as
+// chased to closure and the whole set analyzed together, each per-file
+// rule within its own path scope. Findings print as
 // `path:line: [rule] message` relative to --root. Exit 0 on a clean run,
 // 1 when findings were emitted, 2 on usage or I/O errors.
 //
