@@ -140,7 +140,8 @@ std::vector<char> Communicator::recv(int from, std::uint32_t expected_tag,
       std::uint32_t got = 0;
       std::exception_ptr wire_error;
       try {
-        got = recv_message(link.stream, payload, shapers, chunk);
+        got = recv_message(link.stream, payload, kUnboundedPayload, shapers,
+                           chunk);
       } catch (...) {
         wire_error = std::current_exception();
       }

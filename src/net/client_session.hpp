@@ -19,8 +19,9 @@
 //    handshake inside the retry budget; solve()/shutdown() frame and
 //    decode typed messages, surfacing server-side ErrorResponses as
 //    RpcRemoteError;
-//  * the introspection endpoint's HTTP/1.0 form — fetch() sends one GET
-//    and returns the body (used by `redist_cli inspect` and smoke tests).
+//  * the introspection lines the daemon answers on the same port —
+//    fetch() sends one GET and returns the body of the HTTP/1.0 reply
+//    (used by `redist_cli inspect` and smoke tests).
 #pragma once
 
 #include <cstdint>

@@ -19,13 +19,12 @@
 //  * error replies are first-class typed responses with stable numeric
 //    codes, not free-text lines.
 //
-// Deprecation path for the bare-line forms: the introspection endpoint
-// (obs/introspect.hpp) keeps accepting its one-line "statusz" requests —
-// they are a human/debug surface, not solve traffic — but new machine
-// clients must speak rpc.v1; docs/SERVICE.md documents the window after
-// which bare-line solve submission (never shipped) stays unsupported and
-// any future introspection-over-rpc migration would bump
-// kRpcProtocolVersion.
+// Introspection shares the daemon's one port: a connection whose first four
+// bytes are an RpcTag (is_rpc_tag) speaks rpc.v1; any other four bytes
+// open a one-line healthz/statusz/metricsz/journalz request
+// (obs/introspect.hpp), a human/debug surface, not solve traffic. Solve
+// submission over bare lines was never shipped; machine clients must speak
+// rpc.v1 (docs/SERVICE.md).
 #pragma once
 
 #include <cstdint>
@@ -53,6 +52,20 @@ enum class RpcTag : std::uint32_t {
   kError = 0x5205,          ///< server → client: typed failure
   kShutdown = 0x5206,       ///< client → server: stop the daemon
 };
+
+/// True for the frame tags above. The daemon reads a connection's first
+/// four bytes and takes the rpc path only when they form one of these.
+constexpr bool is_rpc_tag(std::uint32_t tag) {
+  return tag >= static_cast<std::uint32_t>(RpcTag::kHello) &&
+         tag <= static_cast<std::uint32_t>(RpcTag::kShutdown);
+}
+
+/// Largest frame payload the daemon reads: a SolveRequest of 2^22 traffic
+/// entries (a dense 2048x2048 matrix) at 16 bytes each plus its 34 fixed
+/// bytes, just over 64 MiB. recv_message rejects a frame announcing more
+/// before allocating anything.
+inline constexpr std::uint64_t kMaxRequestPayload =
+    34 + 16 * (std::uint64_t{1} << 22);
 
 /// Stable numeric error codes (wire contract — append only).
 enum class RpcErrorCode : std::uint32_t {

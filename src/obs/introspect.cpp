@@ -1,13 +1,10 @@
 #include "obs/introspect.hpp"
 
 #include <sstream>
-#include <utility>
 
-#include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/export.hpp"
 #include "obs/journal.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -15,11 +12,11 @@ namespace redist::obs {
 
 namespace {
 
-constexpr std::size_t kMaxRequestBytes = 1024;
-
 /// Extracts the endpoint target from either a bare line ("statusz") or an
-/// HTTP request line ("GET /statusz HTTP/1.1"). Leading '/' is stripped.
+/// HTTP request line ("GET /statusz HTTP/1.1"). Leading '/' is stripped;
+/// anything after the first newline is ignored.
 std::string parse_target(std::string_view line) {
+  line = line.substr(0, line.find('\n'));
   if (line.size() >= 4 && (line.substr(0, 4) == "GET " ||
                            line.substr(0, 4) == "get ")) {
     line.remove_prefix(4);
@@ -27,8 +24,7 @@ std::string parse_target(std::string_view line) {
     if (space != std::string_view::npos) line = line.substr(0, space);
   }
   while (!line.empty() && line.front() == '/') line.remove_prefix(1);
-  while (!line.empty() && (line.back() == '\r' || line.back() == '\n' ||
-                           line.back() == ' ')) {
+  while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
     line.remove_suffix(1);
   }
   return std::string(line);
@@ -64,8 +60,6 @@ const char* status_reason(int status) {
       return "OK";
     case 404:
       return "Not Found";
-    case 400:
-      return "Bad Request";
     default:
       return "Error";
   }
@@ -73,73 +67,22 @@ const char* status_reason(int status) {
 
 }  // namespace
 
-IntrospectionServer::IntrospectionServer(MetricsRegistry* metrics,
-                                         Journal* journal,
-                                         IntrospectOptions options)
-    : metrics_(metrics),
-      journal_(journal),
-      options_(options),
-      listener_(TcpListener::bind_loopback()),
-      start_ns_(Stopwatch::now_ns()) {
-  listener_.set_accept_timeout_ms(options_.accept_poll_ms);
-  thread_ = std::thread([this] { serve(); });
-}
+Introspector::Introspector(MetricsRegistry* metrics, Journal* journal)
+    : metrics_(metrics), journal_(journal), start_ns_(Stopwatch::now_ns()) {}
 
-IntrospectionServer::~IntrospectionServer() { stop(); }
-
-void IntrospectionServer::stop() {
-  stopping_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-void IntrospectionServer::serve() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    try {
-      handle_connection(listener_.accept());
-    } catch (const TimeoutError&) {
-      // Accept poll expired — loop to re-check the stop flag.
-    } catch (const Error& e) {
-      // A broken connection must not kill the serving thread.
-      log_event(LogLevel::kWarn, "obs.introspect", "connection error",
-                {log_field("error", e.what())});
-    }
-  }
-}
-
-void IntrospectionServer::handle_connection(TcpStream stream) {
-  stream.set_io_timeout_ms(options_.io_timeout_ms);
-  stream.set_nodelay(true);
-
-  std::string line;
-  line.reserve(64);
-  while (line.size() < kMaxRequestBytes) {
-    char c = 0;
-    stream.recv_all(&c, 1);
-    if (c == '\n') break;
-    line.push_back(c);
-  }
-
-  const std::string target = parse_target(line);
-  const Response response = respond(target);
+std::string Introspector::reply(std::string_view request_line) {
+  const Response response = respond(parse_target(request_line));
   requests_.fetch_add(1, std::memory_order_relaxed);
-  log_event(LogLevel::kDebug, "obs.introspect", "request",
-            {log_field("target", target),
-             log_field(
-                 "status",
-                 static_cast<std::int64_t>(response.status))});
-
   std::ostringstream os;
   os << "HTTP/1.0 " << response.status << " " << status_reason(response.status)
      << "\r\nContent-Type: " << response.content_type
      << "\r\nContent-Length: " << response.body.size()
      << "\r\nConnection: close\r\n\r\n"
      << response.body;
-  const std::string wire = os.str();
-  stream.send_all(wire.data(), wire.size());
+  return os.str();
 }
 
-IntrospectionServer::Response IntrospectionServer::respond(
-    std::string_view target) const {
+Introspector::Response Introspector::respond(std::string_view target) const {
   std::string_view path = target;
   std::string_view query;
   const std::size_t qmark = target.find('?');
@@ -164,7 +107,8 @@ IntrospectionServer::Response IntrospectionServer::respond(
   if (path == "statusz") {
     std::ostringstream os;
     os << "{\"uptime_ms\":" << json_number(uptime_ms);
-    os << ",\"requests_served\":" << requests_served();
+    os << ",\"requests_served\":"
+       << requests_.load(std::memory_order_relaxed);
     if (journal_ != nullptr) {
       const std::uint64_t begun = journal_->solves_begun();
       const std::uint64_t finished = journal_->solves_finished();
@@ -256,9 +200,7 @@ IntrospectionServer::Response IntrospectionServer::respond(
   if (path == "journalz") {
     std::ostringstream os;
     if (journal_ != nullptr) {
-      std::size_t last = parse_last_param(query);
-      if (last == 0) last = options_.journal_default_last;
-      write_journal_jsonl(os, *journal_, last);
+      write_journal_jsonl(os, *journal_, parse_last_param(query));
     } else {
       os << "{\"schema\":\"redist.journal.v1\",\"events\":0,"
             "\"error\":\"no journal installed\"}\n";

@@ -1,6 +1,8 @@
 #include "service/scheduler_service.hpp"
 
+#include <exception>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,12 +12,16 @@
 #include "kpbs/solver.hpp"
 #include "net/message.hpp"
 #include "obs/journal.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
 namespace redist::service {
 
 namespace {
+
+/// Longest introspection request line read from a peer, newline included.
+constexpr std::size_t kMaxRequestLineBytes = 1024;
 
 void send_rpc(TcpStream& stream, rpc::RpcTag tag,
               const std::vector<char>& payload) {
@@ -59,6 +65,7 @@ SchedulerService::SchedulerService(SchedulerServiceOptions options)
     : options_(options),
       cache_(options.cache_capacity),
       admission_(options.admission_rate_rps, options.admission_burst),
+      introspector_(obs::metrics(), obs::journal()),
       listener_(TcpListener::bind_loopback()),
       pool_(options.threads) {
   listener_.set_accept_timeout_ms(options_.accept_poll_ms);
@@ -96,93 +103,129 @@ void SchedulerService::serve() {
 
 void SchedulerService::handle_connection(TcpStream stream) {
   try {
-    std::vector<char> payload;
-    // Version handshake first: anything else on a fresh connection is a
-    // protocol violation worth a typed reply before closing.
-    const std::uint32_t hello_tag = recv_message(stream, payload);
-    if (hello_tag != static_cast<std::uint32_t>(rpc::RpcTag::kHello)) {
-      send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest,
-                     "expected Hello frame, got tag " +
-                         std::to_string(hello_tag));
-      return;
+    // One port, two protocols: every rpc.v1 connection opens with a frame
+    // tag, and no introspection request line starts with one.
+    const std::uint32_t first = recv_tag(stream);
+    if (rpc::is_rpc_tag(first)) {
+      serve_rpc(stream, first);
+    } else {
+      serve_introspection(stream, first);
     }
-    const std::uint32_t version = rpc::decode_hello(payload);
-    if (version != rpc::kRpcProtocolVersion) {
-      send_rpc_error(stream, 0, rpc::RpcErrorCode::kVersionMismatch,
-                     "server speaks rpc.v" +
-                         std::to_string(rpc::kRpcProtocolVersion) +
-                         ", client sent v" + std::to_string(version));
-      return;
-    }
-    std::vector<char> ack;
-    rpc::encode_hello(ack, rpc::kRpcProtocolVersion);
-    send_rpc(stream, rpc::RpcTag::kHelloAck, ack);
-
-    while (!stopping_.load(std::memory_order_acquire)) {
-      std::uint32_t tag = 0;
-      try {
-        tag = recv_message(stream, payload);
-      } catch (const Error&) {
-        return;  // peer closed, or idled past the deadline
-      }
-      obs::journal_record(obs::JournalEventKind::kRpcRequest,
-                          static_cast<std::int64_t>(tag),
-                          static_cast<std::int64_t>(payload.size()));
-      if (tag == static_cast<std::uint32_t>(rpc::RpcTag::kShutdown)) {
-        if (options_.allow_remote_shutdown) {
-          stopping_.store(true, std::memory_order_release);
-          return;
-        }
-        // Policy says no: the fire-and-forget frame is dropped and the
-        // connection keeps serving (a reply here would desynchronize the
-        // client's request/response pairing).
-        continue;
-      }
-      if (tag != static_cast<std::uint32_t>(rpc::RpcTag::kSolveRequest)) {
-        send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest,
-                       "unexpected tag " + std::to_string(tag));
-        continue;
-      }
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry* const metrics = obs::metrics();
-      if (metrics != nullptr) metrics->counter("service.requests").add();
-      const std::uint64_t request_id = peek_request_id(payload);
-      if (stopping_.load(std::memory_order_acquire)) {
-        send_rpc_error(stream, request_id, rpc::RpcErrorCode::kShuttingDown,
-                       "daemon is draining");
-        return;
-      }
-      // Admission control: one token per request from the global lock-free
-      // bucket. Rejection keeps the connection alive — the client backs
-      // off and retries without redialing.
-      if (!admission_.try_acquire(1)) {
-        if (metrics != nullptr) {
-          metrics->counter("service.rate_limited").add();
-        }
-        send_rpc_error(stream, request_id, rpc::RpcErrorCode::kRateLimited,
-                       "admission rate exceeded; retry later");
-        continue;
-      }
-      rpc::SolveRequest request;
-      try {
-        request = rpc::decode_solve_request(payload);
-      } catch (const Error& e) {
-        send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest, e.what());
-        continue;
-      }
-      try {
-        const rpc::SolveResponse response = serve_solve(request);
-        std::vector<char> body;
-        rpc::encode_solve_response(body, response);
-        send_rpc(stream, rpc::RpcTag::kSolveResponse, body);
-      } catch (const Error& e) {
-        send_rpc_error(stream, request.request_id,
-                       rpc::RpcErrorCode::kInternal, e.what());
-      }
+  } catch (const PayloadTooLargeError& e) {
+    // The unread payload leaves the stream unframed: answer, then close.
+    try {
+      send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest, e.what());
+    } catch (const std::exception&) {
     }
   } catch (const Error&) {
-    // Connection-level failure (send to a vanished peer): drop it; the
-    // daemon itself is unaffected.
+    // Connection-level failure (peer closed, idled past the deadline, send
+    // to a vanished peer): drop it; the daemon itself is unaffected.
+  } catch (const std::exception& e) {
+    // Anything else is unexpected, but no exception may leave a pool task.
+    obs::log_event(obs::LogLevel::kWarn, "service", "connection dropped",
+                   {obs::log_field("error", e.what())});
+  }
+}
+
+void SchedulerService::serve_introspection(TcpStream& stream,
+                                           std::uint32_t first_bytes) {
+  std::string line;
+  for (int i = 0; i < 4; ++i) {
+    line.push_back(static_cast<char>(first_bytes >> (8 * i)));
+  }
+  bool done = line.find('\n') != std::string::npos;
+  while (!done && line.size() < kMaxRequestLineBytes) {
+    char c = 0;
+    stream.recv_all(&c, 1);
+    line.push_back(c);
+    done = c == '\n';
+  }
+  const std::string reply = introspector_.reply(line);
+  stream.send_all(reply.data(), reply.size());
+}
+
+void SchedulerService::serve_rpc(TcpStream& stream, std::uint32_t first_tag) {
+  std::vector<char> payload;
+  recv_payload(stream, payload, rpc::kMaxRequestPayload);
+  // Version handshake first: anything else on a fresh connection is a
+  // protocol violation worth a typed reply before closing.
+  if (first_tag != static_cast<std::uint32_t>(rpc::RpcTag::kHello)) {
+    send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest,
+                   "expected Hello frame, got tag " +
+                       std::to_string(first_tag));
+    return;
+  }
+  const std::uint32_t version = rpc::decode_hello(payload);
+  if (version != rpc::kRpcProtocolVersion) {
+    send_rpc_error(stream, 0, rpc::RpcErrorCode::kVersionMismatch,
+                   "server speaks rpc.v" +
+                       std::to_string(rpc::kRpcProtocolVersion) +
+                       ", client sent v" + std::to_string(version));
+    return;
+  }
+  std::vector<char> ack;
+  rpc::encode_hello(ack, rpc::kRpcProtocolVersion);
+  send_rpc(stream, rpc::RpcTag::kHelloAck, ack);
+
+  while (!stopping_.load(std::memory_order_acquire)) {
+    // A peer that closes or idles past the deadline ends the connection
+    // through handle_connection's catch.
+    const std::uint32_t tag =
+        recv_message(stream, payload, rpc::kMaxRequestPayload);
+    obs::journal_record(obs::JournalEventKind::kRpcRequest,
+                        static_cast<std::int64_t>(tag),
+                        static_cast<std::int64_t>(payload.size()));
+    if (tag == static_cast<std::uint32_t>(rpc::RpcTag::kShutdown)) {
+      if (options_.allow_remote_shutdown) {
+        stopping_.store(true, std::memory_order_release);
+        return;
+      }
+      // Policy says no: the fire-and-forget frame is dropped and the
+      // connection keeps serving (a reply here would desynchronize the
+      // client's request/response pairing).
+      continue;
+    }
+    if (tag != static_cast<std::uint32_t>(rpc::RpcTag::kSolveRequest)) {
+      send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest,
+                     "unexpected tag " + std::to_string(tag));
+      continue;
+    }
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    obs::MetricsRegistry* const metrics = obs::metrics();
+    if (metrics != nullptr) metrics->counter("service.requests").add();
+    const std::uint64_t request_id = peek_request_id(payload);
+    if (stopping_.load(std::memory_order_acquire)) {
+      send_rpc_error(stream, request_id, rpc::RpcErrorCode::kShuttingDown,
+                     "daemon is draining");
+      return;
+    }
+    // Admission control: one token per request from the global lock-free
+    // bucket. Rejection keeps the connection alive — the client backs
+    // off and retries without redialing.
+    if (!admission_.try_acquire(1)) {
+      if (metrics != nullptr) {
+        metrics->counter("service.rate_limited").add();
+      }
+      send_rpc_error(stream, request_id, rpc::RpcErrorCode::kRateLimited,
+                     "admission rate exceeded; retry later");
+      continue;
+    }
+    rpc::SolveRequest request;
+    try {
+      request = rpc::decode_solve_request(payload);
+    } catch (const Error& e) {
+      send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest, e.what());
+      continue;
+    }
+    try {
+      const rpc::SolveResponse response = serve_solve(request);
+      std::vector<char> body;
+      rpc::encode_solve_response(body, response);
+      send_rpc(stream, rpc::RpcTag::kSolveResponse, body);
+    } catch (const std::exception& e) {
+      send_rpc_error(stream, request.request_id,
+                     rpc::RpcErrorCode::kInternal, e.what());
+    }
   }
 }
 

@@ -1,10 +1,14 @@
 // SchedulerService — the long-lived scheduler daemon (ROADMAP north star).
 //
-// Accepts rpc.v1 connections (net/rpc.hpp) on an ephemeral loopback port
-// and serves K-PBS solves from a warm cache:
+// Serves K-PBS solves over rpc.v1 (net/rpc.hpp) from a warm cache, and
+// answers healthz/statusz/metricsz/journalz (obs/introspect.hpp), all on
+// one ephemeral loopback port:
 //
 //   accept thread ──► ThreadPool ──► per-connection handler
-//                                      │  Hello/HelloAck version handshake
+//                                      │  first four bytes an RpcTag?
+//                                      │  no  → one introspection line,
+//                                      │        HTTP/1.0 reply, close
+//                                      │  yes → Hello/HelloAck handshake,
 //                                      │  per-request:
 //                                      │    admission TokenBucket (lock-free
 //                                      │    CAS, runtime/token_bucket.hpp)
@@ -14,13 +18,15 @@
 //                                      │      near  → solve_kpbs warm-seeded
 //                                      │      miss  → solve_kpbs, insert
 //
-// Threading: the accept loop (IntrospectionServer's poll-with-timeout
-// pattern) hands each connection to the pool; a handler occupies its
-// worker for the connection's lifetime, so at most `threads` connections
-// are served concurrently and the rest queue in accept backlog + pool
-// queue. All per-connection I/O is deadline-armed: a stalled or idle
-// client trips TimeoutError and the handler closes the connection, which
-// also bounds stop() latency to roughly io_timeout_ms.
+// Threading: the accept loop polls with a timeout so stop() is prompt, and
+// hands each connection to the pool; a handler occupies its worker for the
+// connection's lifetime, so at most `threads` connections are served
+// concurrently and the rest queue in accept backlog + pool queue. An
+// introspection probe is one short exchange on a worker; under load it
+// waits in that queue like any connection. All per-connection I/O is
+// deadline-armed: a stalled or idle client trips TimeoutError and the
+// handler closes the connection, which also bounds stop() latency to
+// roughly io_timeout_ms.
 //
 // Admission control is a single lock-free global TokenBucket in
 // request units (1 token = 1 request): over-rate requests get the typed
@@ -35,6 +41,7 @@
 #include "common/contract_annotations.hpp"
 #include "net/rpc.hpp"
 #include "net/socket.hpp"
+#include "obs/introspect.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/token_bucket.hpp"
 #include "service/solve_cache.hpp"
@@ -89,10 +96,13 @@ class SchedulerService {
  private:
   void serve();
   void handle_connection(TcpStream stream);
+  void serve_rpc(TcpStream& stream, std::uint32_t first_tag);
+  void serve_introspection(TcpStream& stream, std::uint32_t first_bytes);
 
   SchedulerServiceOptions options_;
   SolveCache cache_;
   TokenBucket admission_;
+  obs::Introspector introspector_;  // the sinks installed at construction
   TcpListener listener_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> requests_{0};

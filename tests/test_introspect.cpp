@@ -1,7 +1,8 @@
-// The introspection endpoint round-trips over real loopback sockets, the
-// deadline-aware connection handling never lets an idle client wedge the
-// serving thread, and running the full observability stack (metrics +
-// journal + server) changes no schedule byte.
+// The introspection endpoints round-trip over real loopback sockets on the
+// scheduler daemon's one port, the deadline-aware connection handling never
+// lets an idle client wedge a worker, and running the full observability
+// stack (metrics + journal + daemon) changes no schedule byte. The
+// renderer itself is checked socket-free through respond()/reply().
 #include "obs/introspect.hpp"
 
 #include <gtest/gtest.h>
@@ -15,10 +16,13 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "service/scheduler_service.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist::obs {
 namespace {
+
+using service::SchedulerService;
 
 // One request/response exchange: connect, send the request bytes, read the
 // raw response until the server closes the connection.
@@ -49,10 +53,12 @@ std::string body_of(const std::string& response) {
 TEST(Introspect, HealthzRoundTripsBareLineProtocol) {
   MetricsRegistry registry;
   Journal journal(256);
-  IntrospectionServer server(&registry, &journal);
-  ASSERT_GT(server.port(), 0);
+  ScopedTelemetry telemetry(&registry, nullptr);
+  ScopedJournal scoped_journal(&journal);
+  SchedulerService daemon;
+  ASSERT_GT(daemon.port(), 0);
 
-  const std::string response = fetch(server.port(), "healthz\n");
+  const std::string response = fetch(daemon.port(), "healthz\n");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("Content-Type: application/json"),
             std::string::npos);
@@ -60,7 +66,10 @@ TEST(Introspect, HealthzRoundTripsBareLineProtocol) {
   const std::string body = body_of(response);
   EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(body.find("\"uptime_ms\":"), std::string::npos);
-  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_NE(body_of(fetch(daemon.port(), "statusz\n"))
+                .find("\"requests_served\":1"),
+            std::string::npos);
+  EXPECT_EQ(daemon.requests_served(), 0u);  // no solve request was made
 }
 
 TEST(Introspect, StatuszRoundTripsHttpRequestLine) {
@@ -73,23 +82,26 @@ TEST(Introspect, StatuszRoundTripsHttpRequestLine) {
     journal.record(JournalEventKind::kSolveEnd, 1, 4, 1.0);
     journal.record(JournalEventKind::kSolveBegin, 2, 2);  // still in flight
   }
-  IntrospectionServer server(&registry, &journal);
+  ScopedTelemetry telemetry(&registry, nullptr);
+  ScopedJournal scoped_journal(&journal);
+  SchedulerService daemon;
 
   const std::string body =
-      body_of(fetch(server.port(), "GET /statusz HTTP/1.1\r\n"));
+      body_of(fetch(daemon.port(), "GET /statusz HTTP/1.1\r\n"));
   EXPECT_NE(body.find("\"solves_begun\":2"), std::string::npos);
   EXPECT_NE(body.find("\"solves_finished\":1"), std::string::npos);
   EXPECT_NE(body.find("\"solves_in_flight\":1"), std::string::npos);
-  EXPECT_NE(body.find("\"pool_queue_depth\":3"), std::string::npos);
-  EXPECT_NE(body.find("\"recorded\":3"), std::string::npos);
+  // The daemon's own pool moves the gauge's value; its maximum remains.
+  EXPECT_NE(body.find("\"pool_queue_depth_max\":3"), std::string::npos);
+  EXPECT_NE(body.find("\"journal\":{\"head_seq\":"), std::string::npos);
 }
 
 TEST(Introspect, MetricszServesPrometheusExposition) {
   MetricsRegistry registry;
   registry.counter("kpbs.solve.count").add(5);
-  IntrospectionServer server(&registry, nullptr);
+  Introspector introspector(&registry, nullptr);
 
-  const std::string response = fetch(server.port(), "metricsz\n");
+  const std::string response = introspector.reply("metricsz\n");
   EXPECT_NE(response.find("Content-Type: text/plain"), std::string::npos);
   const std::string body = body_of(response);
   EXPECT_NE(body.find("# TYPE redist_kpbs_solve_count counter"),
@@ -102,68 +114,67 @@ TEST(Introspect, JournalzHonorsLastParameter) {
   for (int i = 0; i < 10; ++i) {
     journal.record(JournalEventKind::kPeelStep, i);
   }
-  IntrospectionServer server(nullptr, &journal);
+  Introspector introspector(nullptr, &journal);
 
   const std::string body =
-      body_of(fetch(server.port(), "GET /journalz?last=3 HTTP/1.0\r\n"));
+      body_of(introspector.reply("GET /journalz?last=3 HTTP/1.0\r\n"));
   EXPECT_NE(body.find("\"schema\":\"redist.journal.v1\""), std::string::npos);
   EXPECT_NE(body.find("\"events\":3"), std::string::npos);
   EXPECT_NE(body.find("\"seq\":9"), std::string::npos);
   EXPECT_EQ(body.find("\"seq\":6"), std::string::npos);
 
-  const std::string all = body_of(fetch(server.port(), "journalz\n"));
+  const std::string all = body_of(introspector.reply("journalz\n"));
   EXPECT_NE(all.find("\"events\":10"), std::string::npos);
 }
 
 TEST(Introspect, RespondCoversErrorAndUninstalledSurfaces) {
-  IntrospectionServer server(nullptr, nullptr);
+  const Introspector introspector(nullptr, nullptr);
 
-  const IntrospectionServer::Response missing = server.respond("nope");
+  const Introspector::Response missing = introspector.respond("nope");
   EXPECT_EQ(missing.status, 404);
   EXPECT_NE(missing.body.find("healthz"), std::string::npos);
 
-  const IntrospectionServer::Response health = server.respond("healthz");
+  const Introspector::Response health = introspector.respond("healthz");
   EXPECT_EQ(health.status, 200);
 
-  const IntrospectionServer::Response metrics = server.respond("metricsz");
+  const Introspector::Response metrics = introspector.respond("metricsz");
   EXPECT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.body.find("no metrics registry"), std::string::npos);
 
-  const IntrospectionServer::Response journalz = server.respond("journalz");
+  const Introspector::Response journalz = introspector.respond("journalz");
   EXPECT_NE(journalz.body.find("no journal installed"), std::string::npos);
 
   // Garbage ?last= values degrade to "all events", never throw.
-  const IntrospectionServer::Response garbage =
-      server.respond("journalz?last=banana");
+  const Introspector::Response garbage =
+      introspector.respond("journalz?last=banana");
   EXPECT_NE(garbage.body.find("no journal installed"), std::string::npos);
 
-  const IntrospectionServer::Response statusz = server.respond("statusz");
+  const Introspector::Response statusz = introspector.respond("statusz");
   EXPECT_EQ(statusz.status, 200);
   EXPECT_NE(statusz.body.find("\"journal\":null"), std::string::npos);
 }
 
-// Deadline-aware I/O (PR 5): a client that connects and never sends a
-// request is dropped by the per-connection idle deadline instead of
-// wedging the single serving thread — the next real request still gets an
-// answer.
+// Deadline-aware I/O: a client that connects and never sends a byte is
+// dropped by the per-connection idle deadline instead of wedging the
+// daemon's single worker — the next real request still gets an answer.
 TEST(Introspect, IdleClientCannotWedgeTheServer) {
-  IntrospectOptions options;
+  service::SchedulerServiceOptions options;
+  options.threads = 1;
   options.io_timeout_ms = 200;
-  IntrospectionServer server(nullptr, nullptr, options);
+  SchedulerService daemon(options);
 
-  TcpStream idle = TcpStream::connect_loopback(server.port());
+  TcpStream idle = TcpStream::connect_loopback(daemon.port());
   ASSERT_TRUE(idle.valid());
-  // The server is now blocked reading this connection's request line; the
-  // 200ms deadline frees it. fetch()'s own 5s client deadline bounds the
-  // wait for the queued connection below.
-  const std::string response = fetch(server.port(), "healthz\n");
+  // The only worker is now blocked reading this connection's first four
+  // bytes; the 200ms deadline frees it. fetch()'s own 5s client deadline
+  // bounds the wait for the queued connection below.
+  const std::string response = fetch(daemon.port(), "healthz\n");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
-  EXPECT_EQ(server.requests_served(), 1u);
 }
 
 TEST(Introspect, StopIsIdempotentAndPortsAreDistinct) {
-  IntrospectionServer a(nullptr, nullptr);
-  IntrospectionServer b(nullptr, nullptr);
+  SchedulerService a;
+  SchedulerService b;
   EXPECT_NE(a.port(), b.port());
   a.stop();
   a.stop();  // second stop is a no-op
@@ -191,9 +202,9 @@ TEST(Introspect, FullStackDoesNotChangeSchedules) {
     Journal journal(4096);
     ScopedTelemetry telemetry(&registry, nullptr);
     ScopedJournal scoped_journal(&journal);
-    IntrospectionServer server(&registry, &journal);
+    SchedulerService daemon;
     instrumented = solve_kpbs(g, options).schedule;
-    const std::string body = body_of(fetch(server.port(), "statusz\n"));
+    const std::string body = body_of(fetch(daemon.port(), "statusz\n"));
     EXPECT_NE(body.find("\"solves_finished\":1"), std::string::npos);
   }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -111,6 +112,50 @@ TEST(Message, TagMismatchThrows) {
   std::vector<char> payload;
   EXPECT_THROW(recv_message_expect(client, 2, payload), Error);
   server.join();
+}
+
+// The frame header is the documented u32 tag | u64 size, little-endian:
+// exactly 12 bytes precede an n-byte payload, and nothing else is sent.
+TEST(Message, HeaderIsTwelveLittleEndianBytes) {
+  TcpListener listener = TcpListener::bind_loopback();
+  const std::string text = "abcde";
+  std::thread client([&]() {
+    TcpStream stream = TcpStream::connect_loopback(listener.port());
+    send_message(stream, 0x5203, text.data(), text.size());
+  });  // the client's stream closes after one frame
+  TcpStream peer = listener.accept();
+  peer.set_io_timeout_ms(5000);
+  unsigned char wire[12 + 5];
+  peer.recv_all(wire, sizeof(wire));
+  client.join();
+  std::uint64_t tag = 0;
+  std::uint64_t size = 0;
+  for (int i = 0; i < 4; ++i) tag |= std::uint64_t{wire[i]} << (8 * i);
+  for (int i = 0; i < 8; ++i) size |= std::uint64_t{wire[4 + i]} << (8 * i);
+  EXPECT_EQ(tag, 0x5203u);
+  EXPECT_EQ(size, text.size());
+  EXPECT_EQ(std::memcmp(wire + 12, text.data(), text.size()), 0);
+  char extra = 0;
+  EXPECT_THROW(peer.recv_all(&extra, 1), Error);  // peer closed, no more
+}
+
+// An announced size over the receiver's bound throws before any payload
+// buffer is sized for it.
+TEST(Message, OversizedHeaderThrowsBeforeAllocating) {
+  TcpListener listener = TcpListener::bind_loopback();
+  std::thread client([&]() {
+    TcpStream stream = TcpStream::connect_loopback(listener.port());
+    // tag 7, size 2^40: a terabyte no receiver should try to allocate.
+    const unsigned char header[12] = {7, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0};
+    stream.send_all(header, sizeof(header));
+  });
+  TcpStream peer = listener.accept();
+  peer.set_io_timeout_ms(5000);
+  std::vector<char> payload;
+  EXPECT_THROW(recv_message(peer, payload, /*max_payload=*/1024),
+               PayloadTooLargeError);
+  EXPECT_TRUE(payload.empty());
+  client.join();
 }
 
 TEST(Message, ShapedTransferIsRateLimited) {

@@ -212,6 +212,27 @@ TEST(Rpc, UnknownTagGetsBadRequest) {
   daemon.stop();
 }
 
+// A frame announcing 2^40 payload bytes is refused with a typed error
+// before the daemon allocates anything; the daemon keeps serving.
+TEST(Rpc, OversizedFrameGetsBadRequestAndDaemonSurvives) {
+  service::SchedulerService daemon;
+  {
+    ClientSession session = ClientSession::dial_rpc(daemon.port());
+    // tag kSolveRequest (0x5203), size 2^40, both little-endian.
+    const unsigned char header[12] = {0x03, 0x52, 0, 0, 0, 0,
+                                      0,    0,    0, 1, 0, 0};
+    session.stream().send_all(header, sizeof(header));
+    std::vector<char> payload;
+    const std::uint32_t tag = recv_message(session.stream(), payload);
+    ASSERT_EQ(tag, static_cast<std::uint32_t>(rpc::RpcTag::kError));
+    EXPECT_EQ(rpc::decode_error_response(payload).code,
+              rpc::RpcErrorCode::kBadRequest);
+  }
+  ClientSession fresh = ClientSession::dial_rpc(daemon.port());
+  EXPECT_EQ(fresh.solve(small_request(11)).request_id, 11u);
+  daemon.stop();
+}
+
 TEST(Rpc, RemoteShutdownStopsTheDaemon) {
   service::SchedulerService daemon;
   ASSERT_FALSE(daemon.stopping());

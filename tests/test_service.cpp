@@ -377,23 +377,45 @@ TEST(SchedulerServiceTest, StatuszExposesTheCacheSection) {
   (void)daemon.serve_solve(req);
   req.request_id = 2;
   (void)daemon.serve_solve(req);
+
+  const std::string body = ClientSession::fetch(daemon.port(), "statusz");
+  EXPECT_NE(body.find("\"cache\":{"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"hits\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"misses\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"entries\":1"), std::string::npos) << body;
   daemon.stop();
 
-  const obs::IntrospectionServer server(&registry, nullptr);
-  const auto response = server.respond("statusz");
-  EXPECT_NE(response.body.find("\"cache\":{"), std::string::npos)
-      << response.body;
-  EXPECT_NE(response.body.find("\"hits\":1"), std::string::npos)
-      << response.body;
-  EXPECT_NE(response.body.find("\"misses\":1"), std::string::npos)
-      << response.body;
-  EXPECT_NE(response.body.find("\"entries\":1"), std::string::npos)
-      << response.body;
-
   // Without any service activity the section reports null, not zeros.
-  const obs::IntrospectionServer bare(nullptr, nullptr);
+  const obs::Introspector bare(nullptr, nullptr);
   EXPECT_NE(bare.respond("statusz").body.find("\"cache\":null"),
             std::string::npos);
+}
+
+// One port, two protocols: an introspection probe on the rpc port sees the
+// cache state an open rpc session produced, and that session keeps
+// working afterwards.
+TEST(SchedulerServiceTest, IntrospectionSharesTheRpcPort) {
+  obs::MetricsRegistry registry;
+  obs::ScopedTelemetry telemetry(&registry, nullptr);
+
+  SchedulerService daemon;
+  ClientSession session = ClientSession::dial_rpc(daemon.port());
+  rpc::SolveRequest req =
+      request_from_graph(load_golden("golden_05.graph"), /*k=*/2, /*beta=*/1);
+  req.request_id = 1;
+  (void)session.solve(req);
+  req.request_id = 2;
+  EXPECT_EQ(session.solve(req).served_from, rpc::ServedFrom::kCacheHit);
+
+  const std::string body = ClientSession::fetch(daemon.port(), "statusz");
+  EXPECT_NE(body.find("\"cache\":{"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"hits\":1"), std::string::npos) << body;
+
+  req.request_id = 3;
+  const rpc::SolveResponse after = session.solve(req);
+  EXPECT_EQ(after.request_id, 3u);
+  EXPECT_EQ(after.served_from, rpc::ServedFrom::kCacheHit);
+  daemon.stop();
 }
 
 TEST(SchedulerServiceTest, ServeSolveSurfacesDomainFailuresAsError) {
