@@ -142,8 +142,8 @@ void write_phase_counters(std::ostream& os, const char* engine,
      << ", \"hk_augmenting_paths\": " << c.hk_paths
      << ", \"warm_ledger_hits\": " << c.ledger_hits
      << ", \"warm_ledger_misses\": " << c.ledger_misses
-     << ", \"warm_seed_hits\": " << c.seed_hits
-     << ", \"warm_seed_misses\": " << c.seed_misses << "}"
+     << ", \"seed_hits\": " << c.seed_hits
+     << ", \"seed_misses\": " << c.seed_misses << "}"
      << (trailing_comma ? "," : "") << '\n';
 }
 

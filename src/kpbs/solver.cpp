@@ -8,7 +8,6 @@
 #include "kpbs/regularize.hpp"
 #include "kpbs/wrgp.hpp"
 #include "matching/hungarian.hpp"
-#include "matching/peeling_context.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -33,44 +32,20 @@ PerfectMatchingStrategy strategy_for(Algorithm algorithm) {
   return PerfectMatchingStrategy(arbitrary_perfect_matching);
 }
 
-std::vector<PeelStep> peel_regularized(
-    BipartiteGraph& j, Algorithm algorithm, MatchingEngine engine,
-    const std::shared_ptr<const Matching>& warm_seed,
-    std::shared_ptr<const Matching>* warm_handle) {
+std::vector<PeelStep> peel_regularized(BipartiteGraph& j, Algorithm algorithm,
+                                       MatchingEngine engine) {
   // kGGPMaxWeight is Hungarian-based and has no warm path; run it cold.
   if (engine == MatchingEngine::kWarm &&
       algorithm != Algorithm::kGGPMaxWeight) {
-    PeelingContext ctx;
-    // Cross-instance seeding only helps (and is only sound to export) on
-    // the bottleneck path: GGP's arbitrary matchings must stay bit-equal to
-    // max_matching(g), which depends on the greedy start.
-    if (algorithm == Algorithm::kOGGP && warm_seed != nullptr &&
-        !warm_seed->edges.empty()) {
-      ctx.seed(*warm_seed);
-      obs::MetricsRegistry* const metrics = obs::metrics();
-      if (metrics != nullptr) metrics->counter("kpbs.warm_seed.installed").add();
-    }
-    std::vector<PeelStep> steps =
-        wrgp_peel_warm(j,
-                       algorithm == Algorithm::kOGGP ? WarmStrategy::kBottleneck
-                                                     : WarmStrategy::kArbitrary,
-                       ctx);
-    // Export the first step's matching as the instance's warm handle: two
-    // near-identical demands diverge least before any peeling, so their
-    // first bottleneck searches are the ones a shared seed accelerates.
-    if (warm_handle != nullptr && algorithm == Algorithm::kOGGP &&
-        !steps.empty()) {
-      *warm_handle = std::make_shared<const Matching>(steps.front().matching);
-    }
-    return steps;
+    return wrgp_peel_warm(j, algorithm == Algorithm::kOGGP
+                                 ? WarmStrategy::kBottleneck
+                                 : WarmStrategy::kArbitrary);
   }
   return wrgp_peel(j, strategy_for(algorithm));
 }
 
 Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
-                        Algorithm algorithm, MatchingEngine engine,
-                        const std::shared_ptr<const Matching>& warm_seed,
-                        std::shared_ptr<const Matching>* warm_handle) {
+                        Algorithm algorithm, MatchingEngine engine) {
   REDIST_CHECK_MSG(beta >= 0, "negative beta");
   Schedule schedule;
   if (demand.empty()) return schedule;
@@ -112,7 +87,7 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
   // Step 2 — regularize; Step 3 — peel.
   Regularized reg = regularize(normalized, k);
   const std::vector<PeelStep> peels =
-      peel_regularized(reg.graph, algorithm, engine, warm_seed, warm_handle);
+      peel_regularized(reg.graph, algorithm, engine);
 
   // Step 4 — extract real communications with realized amounts.
   {
@@ -178,7 +153,7 @@ SolveResult solve_kpbs(const BipartiteGraph& demand,
   const Stopwatch timer;
   result.schedule =
       solve_schedule(demand, options.k, options.beta, options.algorithm,
-                     options.engine, options.warm_seed, &result.warm_handle);
+                     options.engine);
   result.solve_ms = timer.elapsed_ms();
   result.lower_bound = kpbs_lower_bound(demand, options.k, options.beta);
   const double bound = result.lower_bound.value_double();

@@ -70,10 +70,6 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
     if (probe_counter != nullptr) probe_counter->add();
     std::size_t surviving = 0;
     for (EdgeId e : cur.edges) {
-      // A cross-instance seed (PeelingContext::seed) may carry edge ids
-      // from a near-identical graph; ids out of range here simply do not
-      // survive (solve_seeded applies the same tolerance).
-      if (e < 0 || e >= g.edge_count()) continue;
       if (g.alive(e) && g.edge(e).weight >= ws_[mid]) ++surviving;
     }
     if (surviving >= target) {  // seed already perfect at this threshold

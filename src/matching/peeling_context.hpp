@@ -13,7 +13,9 @@
 //  * the previous step's matching, used to warm-seed every feasibility
 //    probe of the binary search (solve_seeded) — probes only decide
 //    feasibility, which is a property of the graph, not of the matching
-//    found, so warm seeds cannot change the search outcome;
+//    found, so warm seeds cannot change the search outcome. The seed is
+//    always a matching of the graph being peeled (its edge ids index that
+//    graph), which is what makes the seed-hit shortcut sound;
 //  * one rebindable Hopcroft–Karp solver and one threshold mask buffer,
 //    reused across probes and steps (no per-probe allocations).
 //
@@ -23,6 +25,9 @@
 // that threshold — exactly the computation bottleneck_perfect_threshold
 // performs — so warm and cold peeling emit identical schedules, step for
 // step. The shared bottleneck value is asserted on every step.
+//
+// One PeelingContext per peel run: the ledger and the seed describe one
+// regularized graph, so a context is never shared between instances.
 #pragma once
 
 #include <map>
@@ -56,18 +61,6 @@ class PeelingContext {
   /// the matching this context returned for the step.
   REDIST_DETERMINISTIC
   void before_peel(const BipartiteGraph& g, const Matching& m, Weight amount);
-
-  /// Installs `m` as the warm seed of the next bottleneck search. Intended
-  /// for cross-instance warm starts (the scheduler daemon's near-miss cache
-  /// path, docs/SERVICE.md): edge ids that do not exist in the next bound
-  /// graph are ignored by the probes, and seeds only shortcut feasibility
-  /// checks — the final matching of every step is canonically replayed, so
-  /// any seed (even a nonsense one) leaves schedules bit-identical.
-  void seed(Matching m) { last_ = std::move(m); }
-
-  /// The last matching this context produced — the warm handle a solve
-  /// exports for future near-miss seeding. Empty before any step.
-  const Matching& last_matching() const { return last_; }
 
  private:
   void ensure_ledger(const BipartiteGraph& g);

@@ -99,10 +99,13 @@ struct SolveRequest {
 };
 
 /// Where the daemon's answer came from (cache provenance, also journaled).
+/// Append-only: codes are wire values, so a retired one stays reserved and
+/// decodable.
 enum class ServedFrom : std::uint8_t {
   kCold = 0,          ///< full solve, no cache involvement
   kCacheHit = 1,      ///< exact fingerprint hit, cached result replayed
-  kWarmNearMiss = 2,  ///< solved fresh, warm-seeded from a near-miss entry
+  kWarmNearMiss = 2,  ///< reserved: never sent since cross-instance warm
+                      ///< seeding was removed (near misses solve cold)
 };
 
 const char* served_from_name(ServedFrom s);

@@ -23,7 +23,7 @@ constexpr const char* kKindNames[] = {
     "ledger_miss",    "pool_enqueue", "pool_start",  "pool_finish",
     "retry",          "fault_injected", "attempt_begin", "attempt_end",
     "recovery_spliced", "rpc_request", "cache_hit",   "cache_miss",
-    "cache_warm_seed", "cache_evict",
+    "cache_evict",
 };
 
 }  // namespace

@@ -42,8 +42,9 @@ REDIST_LAYER("obs");
 
 namespace redist::obs {
 
-/// Typed journal events. Kinds are append-only: the JSONL schema exposes
-/// names, not ordinals, so reordering would silently change dumps.
+/// Typed journal events. Dumps (the JSONL schema) carry names, never
+/// ordinals, so a retired kind's slot can go; a kept kind's name may not
+/// change.
 enum class JournalEventKind : std::uint8_t {
   kSolveBegin,       ///< a=nodes per side, b=alive edges
   kSolveEnd,         ///< a=schedule steps, b=schedule cost, v=evaluation ratio
@@ -61,7 +62,6 @@ enum class JournalEventKind : std::uint8_t {
   kRpcRequest,       ///< service request decoded; a=rpc tag, b=payload bytes
   kCacheHit,         ///< exact fingerprint hit; a=entry hit count
   kCacheMiss,        ///< no cached entry; a=entries currently cached
-  kCacheWarmSeed,    ///< near-miss warm seed installed; b=L1 weight distance
   kCacheEvict,       ///< LFU eviction; a=evicted hit count, b=entries left
 };
 

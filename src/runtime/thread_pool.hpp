@@ -62,7 +62,10 @@ class ThreadPool {
 
   /// Enqueues a job. Safe to call from any thread, including from a job.
   /// The submitter's SolveIdScope is captured with the job so journal
-  /// events on the worker join the enqueuing solve.
+  /// events on the worker join the enqueuing solve. Only such jobs are
+  /// journaled (pool_enqueue/pool_start/pool_finish): a job submitted
+  /// outside any solve (a daemon connection task, say) would only crowd
+  /// the flight recorder with events nothing can join on.
   REDIST_NOBLOCK
   void submit(std::function<void()> job) {
     obs::MetricsRegistry* const metrics = obs::metrics();
@@ -82,7 +85,7 @@ class ThreadPool {
             .set(static_cast<std::int64_t>(depth));
       }
     }
-    obs::Journal* const journal = obs::journal();
+    obs::Journal* const journal = solve_id != 0 ? obs::journal() : nullptr;
     if (journal != nullptr) {
       journal->record_for(solve_id, obs::JournalEventKind::kPoolEnqueue,
                           static_cast<std::int64_t>(depth));
@@ -123,7 +126,8 @@ class ThreadPool {
       // Journal re-read per job for the same reason as the metrics sink;
       // the recorded solve ID is the submitter's, so a dump joins the
       // worker-side task lifecycle to the solve it serves.
-      obs::Journal* const journal = obs::journal();
+      obs::Journal* const journal =
+          entry.solve_id != 0 ? obs::journal() : nullptr;
       if (metrics != nullptr || journal != nullptr) {
         const std::uint64_t start_ns = Stopwatch::now_ns();
         double wait_ms = 0.0;

@@ -261,11 +261,6 @@ rpc::SolveResponse SchedulerService::serve_solve(
     return response;
   }
 
-  const bool warm_seeded =
-      lookup.kind == SolveCache::Lookup::Kind::kNearMiss &&
-      lookup.warm_seed != nullptr;
-  if (warm_seeded) options.warm_seed = lookup.warm_seed;
-
   const BipartiteGraph demand = matrix.to_graph_bytes();
   const SolveResult solved = solve_kpbs(demand, options);
 
@@ -276,10 +271,8 @@ rpc::SolveResponse SchedulerService::serve_solve(
   cached.lb_den = solved.lower_bound.min_transmission.den();
   cached.evaluation_ratio = solved.evaluation_ratio;
   cached.solve_id = solved.solve_id;
-  cached.warm_handle = solved.warm_handle;
 
-  response.served_from = warm_seeded ? rpc::ServedFrom::kWarmNearMiss
-                                     : rpc::ServedFrom::kCold;
+  response.served_from = rpc::ServedFrom::kCold;
   response.solve_id = cached.solve_id;
   response.lb_min_steps = cached.lb_min_steps;
   response.lb_num = cached.lb_num;

@@ -1,6 +1,6 @@
 // SchedulerService — the long-lived scheduler daemon (ROADMAP north star).
 //
-// Serves K-PBS solves over rpc.v1 (net/rpc.hpp) from a warm cache, and
+// Serves K-PBS solves over rpc.v1 (net/rpc.hpp) from a solve cache, and
 // answers healthz/statusz/metricsz/journalz (obs/introspect.hpp), all on
 // one ephemeral loopback port:
 //
@@ -15,8 +15,7 @@
 //                                      │    SolveCache lookup by canonical
 //                                      │    fingerprint (service/fingerprint)
 //                                      │      hit   → cached bytes, no solve
-//                                      │      near  → solve_kpbs warm-seeded
-//                                      │      miss  → solve_kpbs, insert
+//                                      │      miss  → cold solve_kpbs, insert
 //
 // Threading: the accept loop polls with a timeout so stop() is prompt, and
 // hands each connection to the pool; a handler occupies its worker for the

@@ -1,25 +1,16 @@
-// Fingerprint-keyed warm solve cache (LFU) for the scheduler daemon.
+// Fingerprint-keyed solve cache (LFU) for the scheduler daemon.
 //
 // The daemon's request stream is dominated by repetition: iterative codes
-// re-emit identical redistribution patterns (exact hits) or the same
-// pattern with drifted volumes (near misses). The cache exploits both:
-//
-//  * exact hit — the full fingerprint matches and the stored
-//    CanonicalInstance verifies equal; the cached result (schedule text,
-//    lower bound, evaluation ratio) is returned without touching the
-//    solver. Bit-identical by construction: it IS the bytes of the
-//    original solve.
-//  * near miss — no full match, but some entry shares the shape
-//    fingerprint (same pattern, k, beta, algorithm, engine — only byte
-//    counts differ). The nearest such entry by L1 weight distance donates
-//    its warm handle (the first peel step's matching), which seeds the
-//    fresh solve's first bottleneck search (SolverOptions::warm_seed).
-//    Schedules stay bit-identical to an unseeded solve — seeds only
-//    shortcut feasibility probes (matching/peeling_context.hpp).
+// re-emit identical redistribution patterns. On an exact hit — the full
+// fingerprint matches and the stored CanonicalInstance verifies equal —
+// the cached result (schedule text, lower bound, evaluation ratio) is
+// returned without touching the solver. Bit-identical by construction: it
+// IS the bytes of the original solve. Anything else is a miss and a cold
+// solve; no state of one instance is ever used to solve another.
 //
 // Eviction is LFU: at capacity the entry with the fewest hits goes (ties
 // broken by insertion age, oldest first), on the theory that a pattern
-// re-requested often is the one worth keeping warm across phases.
+// re-requested often is the one worth keeping across phases.
 //
 // Concurrency: one Mutex (rank 50 — above the pool lock and the net-layer
 // locks, below the metrics shards; docs/STATIC_ANALYSIS.md) guards the
@@ -28,15 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/contract_annotations.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
-#include "matching/matching.hpp"
 #include "service/fingerprint.hpp"
 
 REDIST_LAYER("service");
@@ -52,8 +40,6 @@ struct CachedSolve {
   std::int64_t lb_den = 1;
   double evaluation_ratio = 1.0;
   std::uint64_t solve_id = 0;  ///< journal ID of the original solve
-  /// First peel step's matching (null for non-OGGP/cold solves).
-  std::shared_ptr<const Matching> warm_handle;
 };
 
 class SolveCache {
@@ -67,20 +53,15 @@ class SolveCache {
 
   struct Lookup {
     enum class Kind {
-      kMiss,      ///< nothing cached for this shape at all
-      kHit,       ///< verified exact match; `solve` is the cached result
-      kNearMiss,  ///< same shape cached; `warm_seed` is the donor's handle
+      kMiss,  ///< no verified entry: the caller solves cold
+      kHit,   ///< verified exact match; `solve` is the cached result
     };
     Kind kind = Kind::kMiss;
     CachedSolve solve;  ///< kHit only
-    std::shared_ptr<const Matching> warm_seed;  ///< kNearMiss only (may be
-                                                ///< null when the donor had
-                                                ///< no handle)
-    std::int64_t weight_distance = 0;  ///< kNearMiss: L1 to the donor
   };
 
   /// Looks `instance` up under its fingerprint. Records cache metrics and
-  /// journal events (kCacheHit/kCacheMiss/kCacheWarmSeed) outside the lock.
+  /// journal events (kCacheHit/kCacheMiss) outside the lock.
   Lookup lookup(const InstanceFingerprint& fp,
                 const CanonicalInstance& instance);
 
@@ -101,7 +82,6 @@ class SolveCache {
   struct Entry {
     CanonicalInstance instance;
     CachedSolve solve;
-    std::uint64_t shape = 0;     ///< shape fingerprint (for the index)
     std::uint64_t hits = 0;      ///< LFU frequency
     std::uint64_t inserted = 0;  ///< insertion tick (LFU tie-break)
   };
@@ -109,10 +89,6 @@ class SolveCache {
   const std::size_t capacity_;
   mutable Mutex cache_mu REDIST_LOCK_RANK(50);
   std::unordered_map<std::uint64_t, Entry> entries_
-      REDIST_GUARDED_BY(cache_mu);
-  /// shape fingerprint -> full fingerprints with that shape (near-miss
-  /// candidate index; kept exactly in sync with entries_).
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> shapes_
       REDIST_GUARDED_BY(cache_mu);
   std::uint64_t tick_ REDIST_GUARDED_BY(cache_mu) = 0;
 };

@@ -1,15 +1,18 @@
 // Tests for the ThreadPool primitive and the batch K-PBS front end:
-// the pool runs every submitted job and is reusable across wait_idle()
-// cycles; solve_kpbs_batch is positionally identical to a sequential
+// the pool runs every submitted job, is reusable across wait_idle()
+// cycles and journals only jobs submitted under a solve ID;
+// solve_kpbs_batch is positionally identical to a sequential
 // solve_kpbs loop at every thread count and propagates per-instance
 // failures after the batch completes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/journal.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/thread_pool.hpp"
 #include "workload/random_graphs.hpp"
@@ -58,6 +61,39 @@ TEST(ThreadPool, SubmitFromWithinJob) {
   });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 2);
+}
+
+// Pool lifecycle events are journaled only for jobs that belong to a
+// solve: a job submitted outside any SolveIdScope leaves no trace, one
+// submitted inside records enqueue, start and finish under its solve ID.
+TEST(ThreadPool, JournalsOnlyJobsSubmittedUnderASolveId) {
+  obs::Journal journal(256);
+  const obs::ScopedJournal scoped(&journal);
+  {
+    ThreadPool pool(1);
+    pool.submit([] {});
+    pool.wait_idle();
+  }
+  EXPECT_EQ(journal.total_recorded(), 0u);
+
+  {
+    ThreadPool pool(1);
+    const obs::SolveIdScope scope(77);
+    pool.submit([] {});
+    pool.wait_idle();
+  }
+  std::vector<obs::JournalEventKind> kinds;
+  for (const obs::JournalEvent& e : journal.snapshot()) {
+    EXPECT_EQ(e.solve_id, 77u);
+    kinds.push_back(e.kind);
+  }
+  // The submitter records the enqueue after releasing the queue lock, so
+  // the worker's start may be sequenced first.
+  std::sort(kinds.begin(), kinds.end());
+  EXPECT_EQ(kinds, (std::vector<obs::JournalEventKind>{
+                       obs::JournalEventKind::kPoolEnqueue,
+                       obs::JournalEventKind::kPoolStart,
+                       obs::JournalEventKind::kPoolFinish}));
 }
 
 std::vector<KpbsRequest> sample_requests(std::size_t count) {

@@ -107,6 +107,29 @@ TEST(Rpc, ErrorCodeNamesAreStable) {
                "warm_near_miss");
 }
 
+// The daemon no longer sends kWarmNearMiss, but the enum is append-only:
+// code 2 stays reserved and decodable, and the next code is rejected.
+TEST(Rpc, ServedFromCodesRoundTripIncludingTheReservedOne) {
+  for (const rpc::ServedFrom served :
+       {rpc::ServedFrom::kCold, rpc::ServedFrom::kCacheHit,
+        rpc::ServedFrom::kWarmNearMiss}) {
+    rpc::SolveResponse resp;
+    resp.request_id = 9;
+    resp.served_from = served;
+    resp.schedule_text = "schedule 0\n";
+    std::vector<char> wire;
+    rpc::encode_solve_response(wire, resp);
+    const rpc::SolveResponse parsed = rpc::decode_solve_response(wire);
+    EXPECT_EQ(parsed.served_from, served);
+    EXPECT_EQ(parsed.schedule_text, resp.schedule_text);
+  }
+  rpc::SolveResponse resp;
+  std::vector<char> wire;
+  rpc::encode_solve_response(wire, resp);
+  wire[16] = 3;  // served_from follows request_id and solve_id
+  EXPECT_THROW((void)rpc::decode_solve_response(wire), Error);
+}
+
 TEST(Rpc, HandshakeAndSolveRoundTripOverSocket) {
   service::SchedulerService daemon;
   ClientSession session = ClientSession::dial_rpc(daemon.port());

@@ -44,7 +44,7 @@
 //             [--journal-capacity=8192] [--crash-dump=FILE]
 //       Runs the long-lived scheduler daemon (service/scheduler_service):
 //       accepts rpc.v1 solve requests on an ephemeral loopback port,
-//       answers from the fingerprint-keyed warm solve cache, and enforces
+//       answers from the fingerprint-keyed solve cache, and enforces
 //       lock-free token-bucket admission. The same port answers
 //       healthz/statusz/metricsz/journalz request lines (`inspect`).
 //       --linger-ms=0 (default) runs until a client sends the rpc shutdown
@@ -58,7 +58,7 @@
 //             [--shutdown] [--quiet]
 //       Submits graphs to a live daemon over rpc.v1 (one connection, one
 //       request per graph per repeat) and prints each response's cache
-//       provenance (cold | cache_hit | warm_near_miss), service time and
+//       provenance (cold | cache_hit), service time and
 //       quality ratio. --shutdown sends the shutdown frame after the last
 //       response. Exits non-zero on typed rpc errors.
 //
@@ -468,15 +468,13 @@ int cmd_daemon(Flags& flags) {
 
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t near = 0;
   for (const auto& [name, count] : registry.snapshot().counters) {
     if (name == "service.cache.hits") hits = count;
     if (name == "service.cache.misses") misses = count;
-    if (name == "service.cache.near_misses") near = count;
   }
   std::cout << "served " << daemon.requests_served()
             << " request(s): " << hits << " cache hit(s), " << misses
-            << " miss(es) (" << near << " warm-seeded), "
+            << " miss(es), "
             << daemon.cache().entry_count() << " entries cached\n";
 
   if (!journal_out.empty()) {
